@@ -23,7 +23,6 @@ from .errors import (
     InfiniteOdds,
     InvalidPrior,
     NoAcceptedTrials,
-    TotalConflict,
     UndefinedOdds,
     UnknownPlaintext,
     ZeroMarginal,
@@ -195,14 +194,8 @@ def williams_check(model: EvidenceModel, message: str) -> WilliamsReport:
     elements).
     """
     relation = model.constraining_relation(message)
-    possible = relation.possible_codes()
-    if not possible:
-        raise TotalConflict(f"no code can produce message {message!r}")
-    decoded: dict[str, int] = {}
-    for name, _ in relation.pairs:
-        decoded[name] = decoded.get(name, 0) + 1
-    one_to_one = all(count == 1 for count in decoded.values())
     mass = model.derive_mass(message)
+    one_to_one = all(len(plaintexts) == 1 for plaintexts in relation.decoded.values())
     report = posterior(model, PriorSpec.uniform(model.plaintexts), message)
     as_mass = {mask: p for mask, p in report.posterior.items() if p > 0}
     equivalent = as_mass == dict(mass.focal())

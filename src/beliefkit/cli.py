@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from . import bayes as bayes_ops
@@ -24,6 +23,7 @@ from .model_io import (
     load_model,
     parse_belief_table,
     parse_prior_table,
+    read_document,
     validate_model,
 )
 from .reports import Report, emit_report
@@ -178,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _resolve_message(model: EvidenceModel, flag: str | None, option: str) -> str:
     if flag is not None:
         return flag
@@ -221,7 +217,7 @@ def _resolve_prior(model: EvidenceModel, args: argparse.Namespace) -> bayes_ops.
     if args.prior is not None and args.prior_file is not None:
         raise _UsageError("--prior and --prior-file are mutually exclusive")
     if args.prior_file is not None:
-        return parse_prior_table(_read(args.prior_file), model.frame)
+        return parse_prior_table(read_document(args.prior_file), model.frame)
     return bayes_ops.PriorSpec.uniform(model.plaintexts)
 
 
@@ -229,7 +225,7 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
     if args.from_belief is not None:
         if args.model is not None or args.message is not None:
             raise _UsageError("--from-belief replaces the model and --message arguments")
-        frame, table = parse_belief_table(_read(args.from_belief))
+        frame, table = parse_belief_table(read_document(args.from_belief))
         if frame.size > MAX_INVERSION_FRAME:
             raise ModelSyntaxError(
                 f"frame: belief inversion is limited to frames of size "

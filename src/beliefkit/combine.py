@@ -68,16 +68,14 @@ def combine_models(
         raise FrameMismatch("models must share the hypothesis frame to be combined")
     relation1 = model1.constraining_relation(message1)
     relation2 = model2.constraining_relation(message2)
-    decoded1 = _decoded_by_code(relation1)
-    decoded2 = _decoded_by_code(relation2)
-    if not decoded1 or not decoded2:
+    if not relation1.decoded or not relation2.decoded:
         raise TotalConflict("one of the messages cannot be produced by any code")
-    weight1 = _conditional_weights(model1, decoded1)
-    weight2 = _conditional_weights(model2, decoded2)
+    weight1 = model1._possible_code_weights(relation1)
+    weight2 = model2._possible_code_weights(relation2)
     pooled: dict[SubsetMask, Fraction] = {}
     conflict = Fraction(0)
-    for name1, plaintexts1 in decoded1.items():
-        for name2, plaintexts2 in decoded2.items():
+    for name1, plaintexts1 in relation1.decoded.items():
+        for name2, plaintexts2 in relation2.decoded.items():
             weight = weight1[name1] * weight2[name2]
             compat: SubsetMask | None = None
             for a1 in plaintexts1:
@@ -95,15 +93,3 @@ def combine_models(
     entries = [(mask, value / scale) for mask, value in pooled.items()]
     return CombinationResult(MassFunction(model1.frame, entries), conflict)
 
-
-def _decoded_by_code(relation) -> dict[str, list[SubsetMask]]:
-    decoded: dict[str, list[SubsetMask]] = {}
-    for name, mask in relation.pairs:
-        decoded.setdefault(name, []).append(mask)
-    return decoded
-
-
-def _conditional_weights(model: EvidenceModel, decoded) -> dict[str, Fraction]:
-    prob = {code.name: code.prob for code in model.codes}
-    total = sum((prob[name] for name in decoded), Fraction(0))
-    return {name: prob[name] / total for name in decoded}

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 from typing import Mapping
 
 from .errors import (
@@ -44,10 +46,6 @@ class Code:
             raise TypeError(f"code probability must be a Fraction, got {self.prob!r}")
         object.__setattr__(self, "codebook", dict(self.codebook))
 
-    def decodes_to(self, message: str) -> tuple[SubsetMask, ...]:
-        """Plaintexts this code maps to `message`, in codebook order."""
-        return tuple(mask for mask, label in self.codebook.items() if label == message)
-
 
 @dataclass(frozen=True)
 class ConstrainingRelation:
@@ -55,22 +53,23 @@ class ConstrainingRelation:
 
     pairs: tuple[tuple[str, SubsetMask], ...]
 
+    @cached_property
+    def decoded(self) -> dict[str, tuple[SubsetMask, ...]]:
+        """Code name -> the plaintexts it decodes the message to, model order."""
+        grouped: dict[str, list[SubsetMask]] = {}
+        for name, mask in self.pairs:
+            grouped.setdefault(name, []).append(mask)
+        return {name: tuple(masks) for name, masks in grouped.items()}
+
     def possible_codes(self) -> tuple[str, ...]:
         """Names of codes that could have produced the message, model order."""
-        seen: dict[str, None] = {}
-        for name, _ in self.pairs:
-            seen.setdefault(name)
-        return tuple(seen)
+        return tuple(self.decoded)
 
     def compatibility_set(self, name: str) -> SubsetMask:
         """Union of all plaintexts the relation pairs with code `name`."""
-        union: SubsetMask | None = None
-        for code_name, mask in self.pairs:
-            if code_name == name:
-                union = mask if union is None else union | mask
-        if union is None:
+        if name not in self.decoded:
             raise CodeNotPossible(f"code {name!r} is not in the constraining relation")
-        return union
+        return reduce(or_, self.decoded[name])
 
 
 @dataclass(frozen=True)
@@ -167,14 +166,16 @@ class EvidenceModel:
         message.
         """
         relation = self.constraining_relation(message)
-        possible = relation.possible_codes()
-        if not possible:
+        if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
-        prob_by_name = {code.name: code.prob for code in self.codes}
-        normalizer = sum((prob_by_name[name] for name in possible), Fraction(0))
         pooled: dict[SubsetMask, Fraction] = {}
-        for name in possible:
+        for name, weight in self._possible_code_weights(relation).items():
             compat = relation.compatibility_set(name)
-            pooled[compat] = pooled.get(compat, Fraction(0)) + prob_by_name[name]
-        entries = [(mask, value / normalizer) for mask, value in pooled.items()]
-        return MassFunction(self.frame, entries)
+            pooled[compat] = pooled.get(compat, Fraction(0)) + weight
+        return MassFunction(self.frame, pooled.items())
+
+    def _possible_code_weights(self, relation: ConstrainingRelation) -> dict[str, Fraction]:
+        """P(code | the code is possible) for each code of `relation`, model order."""
+        prob = {code.name: code.prob for code in self.codes if code.name in relation.decoded}
+        total = sum(prob.values(), Fraction(0))
+        return {name: p / total for name, p in prob.items()}

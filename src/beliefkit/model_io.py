@@ -36,27 +36,70 @@ def _string_list(value: object, field: str) -> list[str]:
     return value
 
 
-def parse_model(text: str) -> EvidenceModel:
-    """Parse a model document; errors carry line or field context."""
+def read_document(path: str | Path) -> str:
+    """Text of a UTF-8 document file; undecodable bytes are a ModelSyntaxError."""
     try:
-        doc = json.loads(text)
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ModelSyntaxError(f"not UTF-8 text: {err}") from None
+
+
+def _decode_json(text: str) -> object:
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelSyntaxError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except ValueError as err:  # an integer literal over the int-to-str digit limit
+        raise ModelSyntaxError(str(err)) from None
+    except RecursionError:
+        raise ModelSyntaxError("document is nested too deeply") from None
+
+
+def _decode_object(text: str, fields: tuple[str, ...], required: tuple[str, ...]) -> dict:
+    doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise ModelSyntaxError("document must be a JSON object")
     for key in doc:
-        if key not in _MODEL_FIELDS:
+        if key not in fields:
             raise ModelSyntaxError(f"unknown field {key!r}")
-    for key in ("frame", "messages", "plaintexts", "codes"):
+    for key in required:
         if key not in doc:
             raise ModelSyntaxError(f"missing field {key!r}")
+    return doc
 
+
+def _parse_frame(value: object) -> Frame:
     try:
-        frame = Frame(tuple(_string_list(doc["frame"], "frame")))
+        return Frame(tuple(_string_list(value, "frame")))
     except ValueError as err:
         raise _fail("frame", str(err)) from None
+
+
+def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask, Fraction]:
+    """Subset-string keys to exact rationals, as in belief and prior documents."""
+    if not isinstance(value, dict):
+        raise _fail(field, "expected an object keyed by subset strings")
+    table: dict[SubsetMask, Fraction] = {}
+    for subset_text, rational in value.items():
+        entry = f"{field}[{subset_text!r}]"
+        if not isinstance(rational, str):
+            raise _fail(entry, "expected a rational string such as \"2/3\"")
+        try:
+            mask = frame.parse_subset(subset_text)
+            table[mask] = parse_rational(rational)
+        except ValueError as err:
+            raise _fail(entry, str(err)) from None
+        except UnknownLabel as err:
+            raise UnknownLabel(f"{entry}: {err}") from None
+    return table
+
+
+def parse_model(text: str) -> EvidenceModel:
+    """Parse a model document; errors carry line or field context."""
+    doc = _decode_object(text, _MODEL_FIELDS, ("frame", "messages", "plaintexts", "codes"))
+    frame = _parse_frame(doc["frame"])
 
     messages = tuple(_string_list(doc["messages"], "messages"))
 
@@ -146,7 +189,7 @@ def serialize_model(model: EvidenceModel) -> str:
 
 
 def load_model(path: str | Path) -> EvidenceModel:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(read_document(path))
 
 
 def validate_model(model: EvidenceModel) -> list[str]:
@@ -176,68 +219,19 @@ def validate_model(model: EvidenceModel) -> list[str]:
 
 def parse_belief_table(text: str) -> tuple[Frame, dict[SubsetMask, Fraction]]:
     """Parse a dense belief table document: ``{"frame": [...], "belief": {...}}``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelSyntaxError(
-            f"line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ModelSyntaxError("document must be a JSON object")
-    for key in doc:
-        if key not in ("frame", "belief"):
-            raise ModelSyntaxError(f"unknown field {key!r}")
-    for key in ("frame", "belief"):
-        if key not in doc:
-            raise ModelSyntaxError(f"missing field {key!r}")
-    try:
-        frame = Frame(tuple(_string_list(doc["frame"], "frame")))
-    except ValueError as err:
-        raise _fail("frame", str(err)) from None
-    if not isinstance(doc["belief"], dict):
-        raise _fail("belief", "expected an object keyed by subset strings")
-    table: dict[SubsetMask, Fraction] = {}
-    for subset_text, value in doc["belief"].items():
-        entry = f"belief[{subset_text!r}]"
-        if not isinstance(value, str):
-            raise _fail(entry, "expected a rational string such as \"2/3\"")
-        try:
-            mask = frame.parse_subset(subset_text)
-            table[mask] = parse_rational(value)
-        except ValueError as err:
-            raise _fail(entry, str(err)) from None
-        except UnknownLabel as err:
-            raise UnknownLabel(f"{entry}: {err}") from None
-    return frame, table
+    doc = _decode_object(text, ("frame", "belief"), ("frame", "belief"))
+    frame = _parse_frame(doc["frame"])
+    return frame, _rational_table(frame, doc["belief"], "belief")
 
 
 def parse_prior_table(text: str, frame: Frame):
     """Parse a prior weights document: ``{"weights": {"{no}": "1/2", ...}}``."""
     from .bayes import PriorSpec
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelSyntaxError(
-            f"line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from None
+    doc = _decode_json(text)
     if not isinstance(doc, dict) or set(doc) != {"weights"}:
         raise ModelSyntaxError('document must be a JSON object with a "weights" field')
-    if not isinstance(doc["weights"], dict):
-        raise _fail("weights", "expected an object keyed by subset strings")
-    weights: dict[SubsetMask, Fraction] = {}
-    for subset_text, value in doc["weights"].items():
-        entry = f"weights[{subset_text!r}]"
-        if not isinstance(value, str):
-            raise _fail(entry, "expected a rational string such as \"2/3\"")
-        try:
-            mask = frame.parse_subset(subset_text)
-            weights[mask] = parse_rational(value)
-        except ValueError as err:
-            raise _fail(entry, str(err)) from None
-        except UnknownLabel as err:
-            raise UnknownLabel(f"{entry}: {err}") from None
-    return PriorSpec(weights)
+    return PriorSpec(_rational_table(frame, doc["weights"], "weights"))
 
 
 def bundled_model_path(name: str) -> Path:

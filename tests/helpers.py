@@ -124,14 +124,23 @@ def random_mass(rng, frame, max_focal=4):
     return MassFunction(frame, list(zip(masks, random_fractions(rng, count))))
 
 
-def random_model(rng, frame, max_codes=4, max_messages=5, max_plaintexts=4):
-    messages = tuple(f"q{i}" for i in range(rng.randint(1, max_messages)))
-    domain_size = rng.randint(1, min(max_plaintexts, (1 << frame.size) - 1))
+def random_model(
+    rng,
+    frame,
+    max_codes=4,
+    max_messages=5,
+    max_plaintexts=4,
+    min_codes=1,
+    min_messages=1,
+    min_plaintexts=1,
+):
+    messages = tuple(f"q{i}" for i in range(rng.randint(min_messages, max_messages)))
+    domain_size = rng.randint(min_plaintexts, min(max_plaintexts, (1 << frame.size) - 1))
     domain = set()
     while len(domain) < domain_size:
         domain.add(random_mask(rng, frame))
     domain = tuple(sorted(domain, key=lambda m: m.bits))
-    count = rng.randint(1, max_codes)
+    count = rng.randint(min_codes, max_codes)
     probs = random_fractions(rng, count)
     codes = tuple(
         Code(
@@ -142,6 +151,19 @@ def random_model(rng, frame, max_codes=4, max_messages=5, max_plaintexts=4):
         for i in range(count)
     )
     return EvidenceModel(frame, messages, domain, codes)
+
+
+# Hundreds of codes over a dozen plaintexts and four messages: on a frame of
+# five or six labels, a possible code decodes the message to several
+# plaintexts, so grouping the relation by code is exercised at scale.
+MANY_CODES = dict(
+    min_codes=200,
+    max_codes=400,
+    min_messages=4,
+    max_messages=4,
+    min_plaintexts=12,
+    max_plaintexts=12,
+)
 
 
 def producible_message(rng, model):

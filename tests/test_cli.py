@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beliefkit.cli import run_command
 
 SEED = "20250808"
@@ -295,6 +297,28 @@ class TestExitCodes:
         status, _, err = run(capsys, "derive", "no-such-file.json", "--message", "Q")
         assert status == 1
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{", b"[" * 100000, b"[" + b"1" * 5000 + b"]"],
+        ids=["non-utf8", "deeply-nested", "huge-integer"],
+    )
+    @pytest.mark.parametrize("form", ["model", "from-belief", "prior-file"])
+    def test_unreadable_document_is_model_error(
+        self, capsys, tmp_path, example1_path, form, content
+    ):
+        path = tmp_path / "document.json"
+        path.write_bytes(content)
+        argv = {
+            "model": ["derive", str(path)],
+            "from-belief": ["derive", "--from-belief", str(path)],
+            "prior-file": ["bayes", example1_path, "--prior-file", str(path)],
+        }[form]
+        status, out, err = run(capsys, *argv)
+        assert status == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ModelSyntaxError")
 
     def test_observed_field_supplies_message(self, capsys, example1_path):
         status, out, _ = run(capsys, "derive", example1_path)

@@ -17,6 +17,7 @@ from beliefkit import (
 )
 
 from helpers import (
+    MANY_CODES,
     as_set_dict,
     oracle_combine,
     producible_message,
@@ -169,10 +170,19 @@ class TestProductCombination:
 
     def test_agrees_with_direct_route_on_random_pairs(self):
         rng = random.Random(161803)
-        for _ in range(120):
-            frame = random_frame(rng, 3)
-            model1 = random_model(rng, frame)
-            model2 = random_model(rng, frame)
+        # The many-code pairs keep to about a hundred codes a side: the
+        # product route enumerates every plaintext pair of every code pair.
+        many = {**MANY_CODES, "min_codes": 100, "max_codes": 120}
+
+        def model_pairs():
+            for _ in range(120):
+                frame = random_frame(rng, 3)
+                yield random_model(rng, frame), random_model(rng, frame)
+            for _ in range(3):
+                frame = random_frame(rng, 6, min_size=5)
+                yield random_model(rng, frame, **many), random_model(rng, frame, **many)
+
+        for model1, model2 in model_pairs():
             q1 = producible_message(rng, model1)
             q2 = producible_message(rng, model2)
             try:

@@ -73,6 +73,10 @@ class TestParseModel:
             parse_model("{ not json }")
         assert "line 1" in str(err.value)
 
+    def test_deeply_nested_document_is_a_syntax_error(self):
+        with pytest.raises(ModelSyntaxError):
+            parse_model("[" * 100000)
+
     @pytest.mark.parametrize(
         "mutation,error",
         [
