@@ -17,7 +17,7 @@ from . import bayes as bayes_ops
 from .combine import combine_masses, combine_models
 from .errors import BeliefkitError, ModelSyntaxError
 from .frames import Frame, SubsetMask
-from .mass import MassFunction, format_rational, parse_rational
+from .mass import MAX_INVERSION_FRAME, MassFunction, format_rational, parse_rational
 from .evidence import EvidenceModel
 from .model_io import (
     load_model,
@@ -27,9 +27,6 @@ from .model_io import (
     validate_model,
 )
 from .reports import Report, emit_report
-
-# Dense belief-table inversion stays desk-scale on the CLI.
-MAX_INVERSION_FRAME = 12
 
 
 class _UsageError(Exception):

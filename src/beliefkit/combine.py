@@ -8,6 +8,11 @@ coded-message models (code pairs with every plaintext pair they may have
 encoded) and pools conditional product probability onto the union of the
 nonempty intersections.  The two routes agree exactly, combined mass and
 conflict both, which the test suite checks across random model pairs.
+
+Both routes pool integer products of common-denominator numerators onto
+``int`` bitmasks and count conflict as an integer over the product of the
+denominators; ``SubsetMask`` and ``Fraction`` values appear only in the
+result.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FrameMismatch, TotalConflict
-from .frames import SubsetMask
+from .frames import Frame
 from .mass import MassFunction
 from .evidence import EvidenceModel
 
@@ -29,24 +34,37 @@ class CombinationResult:
     conflict: Fraction
 
 
+def _renormalized(
+    frame: Frame, pooled: dict[int, int], conflict: int, total: int, why: str
+) -> CombinationResult:
+    """`pooled` over ``total - conflict``, with the conflict over `total`.
+
+    Raises TotalConflict with the text `why` when all of `total` conflicts.
+    """
+    if conflict == total:
+        raise TotalConflict(why)
+    combined = MassFunction._from_numerators(frame, total - conflict, pooled)
+    return CombinationResult(combined, Fraction(conflict, total))
+
+
 def combine_masses(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """Combine two mass functions over one frame with Dempster's rule."""
     if m1.frame != m2.frame:
         raise FrameMismatch("mass functions must share a frame to be combined")
-    pooled: dict[SubsetMask, Fraction] = {}
-    conflict = Fraction(0)
-    for left, v1 in m1.focal():
-        for right, v2 in m2.focal():
-            meet = left & right
-            if len(meet) == 0:
-                conflict += v1 * v2
+    right = tuple(m2._numerators.items())
+    pooled: dict[int, int] = {}
+    conflict = 0
+    for bits1, x1 in m1._numerators.items():
+        for bits2, x2 in right:
+            meet = bits1 & bits2
+            if meet:
+                pooled[meet] = pooled.get(meet, 0) + x1 * x2
             else:
-                pooled[meet] = pooled.get(meet, Fraction(0)) + v1 * v2
-    if conflict == 1:
-        raise TotalConflict("every focal intersection is empty")
-    scale = 1 - conflict
-    entries = [(mask, value / scale) for mask, value in pooled.items()]
-    return CombinationResult(MassFunction(m1.frame, entries), conflict)
+                conflict += x1 * x2
+    total = m1._denominator * m2._denominator
+    return _renormalized(
+        m1.frame, pooled, conflict, total, "every focal intersection is empty"
+    )
 
 
 def combine_models(
@@ -72,24 +90,25 @@ def combine_models(
         raise TotalConflict("one of the messages cannot be produced by any code")
     weight1 = model1._possible_code_weights(relation1)
     weight2 = model2._possible_code_weights(relation2)
-    pooled: dict[SubsetMask, Fraction] = {}
-    conflict = Fraction(0)
+    codes2 = [
+        (weight2[name], tuple(mask.bits for mask in plaintexts))
+        for name, plaintexts in relation2.decoded.items()
+    ]
+    pooled: dict[int, int] = {}
+    conflict = 0
     for name1, plaintexts1 in relation1.decoded.items():
-        for name2, plaintexts2 in relation2.decoded.items():
-            weight = weight1[name1] * weight2[name2]
-            compat: SubsetMask | None = None
-            for a1 in plaintexts1:
-                for a2 in plaintexts2:
-                    meet = a1 & a2
-                    if len(meet) > 0:
-                        compat = meet if compat is None else compat | meet
-            if compat is None:
-                conflict += weight
+        w1 = weight1[name1]
+        decoded1 = tuple(mask.bits for mask in plaintexts1)
+        for w2, decoded2 in codes2:
+            compat = 0  # empty intersections add nothing to the union
+            for a1 in decoded1:
+                for a2 in decoded2:
+                    compat |= a1 & a2
+            if compat:
+                pooled[compat] = pooled.get(compat, 0) + w1 * w2
             else:
-                pooled[compat] = pooled.get(compat, Fraction(0)) + weight
-    if conflict == 1:
-        raise TotalConflict("the two messages rule out every code pair")
-    scale = 1 - conflict
-    entries = [(mask, value / scale) for mask, value in pooled.items()]
-    return CombinationResult(MassFunction(model1.frame, entries), conflict)
-
+                conflict += w1 * w2
+    total = sum(weight1.values()) * sum(weight2.values())
+    return _renormalized(
+        model1.frame, pooled, conflict, total, "the two messages rule out every code pair"
+    )

@@ -12,6 +12,7 @@ encoded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -27,7 +28,7 @@ from .errors import (
     TotalConflict,
     UnknownMessage,
 )
-from .frames import Frame, SubsetMask
+from .frames import Frame, SubsetMask, _check_text
 from .mass import MassFunction, format_rational
 
 
@@ -90,6 +91,8 @@ class EvidenceModel:
             raise ValueError("a model needs at least one message label")
         if any(not isinstance(m, str) or not m for m in self.messages):
             raise ValueError("message labels must be non-empty strings")
+        for message in self.messages:
+            _check_text(message, "message label")
         if len(set(self.messages)) != len(self.messages):
             raise ValueError(f"message labels must be distinct: {self.messages}")
         if not self.plaintexts:
@@ -168,14 +171,19 @@ class EvidenceModel:
         relation = self.constraining_relation(message)
         if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
-        pooled: dict[SubsetMask, Fraction] = {}
-        for name, weight in self._possible_code_weights(relation).items():
-            compat = relation.compatibility_set(name)
-            pooled[compat] = pooled.get(compat, Fraction(0)) + weight
-        return MassFunction(self.frame, pooled.items())
+        weights = self._possible_code_weights(relation)
+        pooled: dict[int, int] = {}
+        for name, weight in weights.items():
+            bits = relation.compatibility_set(name).bits
+            pooled[bits] = pooled.get(bits, 0) + weight
+        return MassFunction._from_numerators(self.frame, sum(weights.values()), pooled)
 
-    def _possible_code_weights(self, relation: ConstrainingRelation) -> dict[str, Fraction]:
-        """P(code | the code is possible) for each code of `relation`, model order."""
+    def _possible_code_weights(self, relation: ConstrainingRelation) -> dict[str, int]:
+        """Integer weights of the codes of `relation`, model order.
+
+        P(code | the code is possible) is a code's weight over the sum of
+        all the weights: the code probabilities on their common denominator.
+        """
         prob = {code.name: code.prob for code in self.codes if code.name in relation.decoded}
-        total = sum(prob.values(), Fraction(0))
-        return {name: p / total for name, p in prob.items()}
+        denominator = math.lcm(*(p.denominator for p in prob.values()))
+        return {name: p.numerator * (denominator // p.denominator) for name, p in prob.items()}

@@ -3,8 +3,9 @@
 A :class:`Frame` is an ordered tuple of distinct hypothesis labels; a
 :class:`SubsetMask` is a subset of one frame stored as a positional bitmask
 (bit ``i`` set means ``frame.labels[i]`` is a member).  Frames compare by
-content, so two identically labelled frames are interchangeable.  All values
-are immutable and all operations are pure.
+content, so two identically labelled frames are interchangeable; a frame
+hashes its labels once, when it is built.  All values are immutable and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -27,10 +28,19 @@ def _check_label(label: object) -> str:
         raise ValueError(
             f"label {label!r} may not contain braces, commas, or whitespace"
         )
+    _check_text(label, "label")
     return label
 
 
-@dataclass(frozen=True)
+def _check_text(text: str, what: str) -> None:
+    """Reject strings that cannot be written out, such as lone surrogates."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} is not valid Unicode text") from None
+
+
+@dataclass(frozen=True, eq=False)
 class Frame:
     """An ordered finite set of distinct hypothesis labels."""
 
@@ -45,6 +55,22 @@ class Frame:
             )
         if len(set(labels)) != len(labels):
             raise ValueError(f"frame labels must be distinct: {labels}")
+        object.__setattr__(self, "_hash", hash(labels))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process: a copy or an unpickled frame
+        # is rebuilt from its labels, so it hashes them afresh.
+        return (Frame, (self.labels,))
 
     @property
     def size(self) -> int:

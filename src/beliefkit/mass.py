@@ -5,10 +5,17 @@ floats are rejected so golden values never pick up rounding noise.  A
 :class:`MassFunction` stores only its focal elements (subsets with strictly
 positive mass), validates normalization at construction, and never assigns
 mass to the empty set.
+
+Internally a mass function is held as plain ``int`` bitmasks and integer
+numerators over one common denominator, so belief queries, the belief-table
+inversion and Dempster's rule (:mod:`beliefkit.combine`) run on integer
+arithmetic alone; :class:`SubsetMask` and :class:`Fraction` values are built
+only where they leave the API.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -24,6 +31,9 @@ from .frames import Frame, SubsetMask
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+# Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
+MAX_INVERSION_FRAME = 12
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -49,11 +59,17 @@ def format_rational(value: Fraction) -> str:
 
 def exact(value: object) -> Fraction:
     """Coerce ints, Fractions, and rational literals; reject floats."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"probability values must be exact rationals, got float {value!r}")
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(value.denominator for value in values))
 
 
 class MassFunction:
@@ -62,29 +78,62 @@ class MassFunction:
     Construction merges duplicate subsets by addition, drops zero entries,
     and enforces the invariants: every stored mass is positive, the masses
     sum exactly to 1, and the empty set carries no mass.
+
+    The masses are held as one denominator (the least common denominator of
+    the reduced masses) and a ``bits -> numerator`` mapping in ascending
+    bitmask order; :meth:`focal` and item access rebuild the
+    ``SubsetMask``/``Fraction`` pairs from it.
     """
 
-    __slots__ = ("_frame", "_focal")
+    __slots__ = ("_frame", "_denominator", "_numerators")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[SubsetMask, object]]):
-        merged: dict[SubsetMask, Fraction] = {}
+        values: list[tuple[int, Fraction]] = []
         for mask, value in entries:
             if mask.frame != frame:
                 raise FrameMismatch(f"focal set {mask} does not belong to the frame")
             value = exact(value)
             if value < 0:
                 raise NegativeMass(f"mass of {mask} is negative: {format_rational(value)}")
-            merged[mask] = merged.get(mask, ZERO) + value
-        focal = {mask: v for mask, v in merged.items() if v != 0}
-        if frame.empty() in focal:
-            raise MassOnEmptySet(
-                f"the empty set carries mass {format_rational(focal[frame.empty()])}"
+            values.append((mask.bits, value))
+        denominator = _common_denominator(value for _, value in values)
+        numerators: dict[int, int] = {}
+        for bits, value in values:
+            numerators[bits] = numerators.get(bits, 0) + (
+                value.numerator * (denominator // value.denominator)
             )
-        total = sum(focal.values(), ZERO)
-        if total != 1:
-            raise MassNotNormalized(f"masses sum to {format_rational(total)}, expected 1")
+        self._set(frame, denominator, numerators)
+
+    @classmethod
+    def _from_numerators(
+        cls, frame: Frame, denominator: int, numerators: Mapping[int, int]
+    ) -> MassFunction:
+        """The mass ``numerators[bits] / denominator`` on each subset ``bits``.
+
+        The numerators must be non-negative; the constructor's checks on
+        the empty set and on normalization still apply.
+        """
+        mass = cls.__new__(cls)
+        mass._set(frame, denominator, numerators)
+        return mass
+
+    def _set(self, frame: Frame, denominator: int, numerators: Mapping[int, int]) -> None:
+        focal = {bits: n for bits, n in numerators.items() if n}
+        if 0 in focal:
+            raise MassOnEmptySet(
+                f"the empty set carries mass {format_rational(Fraction(focal[0], denominator))}"
+            )
+        total = sum(focal.values())
+        if total != denominator:
+            raise MassNotNormalized(
+                f"masses sum to {format_rational(Fraction(total, denominator))}, expected 1"
+            )
+        # Dividing out the common factor leaves the least common denominator
+        # of the reduced masses, so equal masses are equal field by field.
+        common = math.gcd(denominator, *focal.values())
         self._frame = frame
-        self._focal = dict(sorted(focal.items(), key=lambda item: item[0].bits))
+        self._denominator = denominator // common
+        self._numerators = {bits: focal[bits] // common for bits in sorted(focal)}
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
@@ -98,26 +147,35 @@ class MassFunction:
         `belief` must assign a value to every one of the ``2^size`` subsets
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
-        here as an in-place transform over the bit lattice.  Raises
-        NotABeliefFunction when the table is not dense, Bel(full) != 1,
-        Bel(empty) != 0, or any inverted mass is negative.
+        here as an in-place transform over the bit lattice, on the table's
+        numerators over their common denominator.  Raises ValueError for a
+        frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
+        the table is not dense, Bel(full) != 1, Bel(empty) != 0, or any
+        inverted mass is negative.
         """
         size = frame.size
-        table = [ZERO] * (1 << size)
+        if size > MAX_INVERSION_FRAME:
+            raise ValueError(
+                f"belief inversion is limited to frames of size "
+                f"{MAX_INVERSION_FRAME} or smaller, got {size}"
+            )
+        values = [ZERO] * (1 << size)
         seen = 0
         for mask, value in belief.items():
             if mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
-            table[mask.bits] = exact(value)
+            values[mask.bits] = exact(value)
             seen += 1
         if seen != 1 << size:
             raise NotABeliefFunction(
                 f"belief table must cover all {1 << size} subsets, got {seen}"
             )
-        if table[-1] != 1:
+        if values[-1] != 1:
             raise NotABeliefFunction(
-                f"Bel of the full frame is {format_rational(table[-1])}, expected 1"
+                f"Bel of the full frame is {format_rational(values[-1])}, expected 1"
             )
+        denominator = _common_denominator(values)
+        table = [v.numerator * (denominator // v.denominator) for v in values]
         for i in range(size):
             bit = 1 << i
             for x in range(1 << size):
@@ -125,18 +183,17 @@ class MassFunction:
                     table[x] -= table[x ^ bit]
         if table[0] != 0:
             raise NotABeliefFunction(
-                f"inversion puts mass {format_rational(table[0])} on the empty set"
+                f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
+                f"on the empty set"
             )
-        entries = []
-        for bits, value in enumerate(table):
-            if value < 0:
+        for bits, n in enumerate(table):
+            if n < 0:
                 raise NotABeliefFunction(
-                    f"inversion yields negative mass {format_rational(value)} "
+                    f"inversion yields negative mass "
+                    f"{format_rational(Fraction(n, denominator))} "
                     f"on {SubsetMask(frame, bits)}"
                 )
-            if value > 0:
-                entries.append((SubsetMask(frame, bits), value))
-        return cls(frame, entries)
+        return cls._from_numerators(frame, denominator, dict(enumerate(table)))
 
     @property
     def frame(self) -> Frame:
@@ -144,38 +201,50 @@ class MassFunction:
 
     def focal(self) -> tuple[tuple[SubsetMask, Fraction], ...]:
         """Focal elements with their masses, in ascending bitmask order."""
-        return tuple(self._focal.items())
+        frame, denominator = self._frame, self._denominator
+        return tuple(
+            (SubsetMask(frame, bits), Fraction(n, denominator))
+            for bits, n in self._numerators.items()
+        )
 
-    def __getitem__(self, mask: SubsetMask) -> Fraction:
+    def _require_frame(self, mask: SubsetMask) -> None:
         if mask.frame != self._frame:
             raise FrameMismatch(f"{mask} does not belong to the frame")
-        return self._focal.get(mask, ZERO)
+
+    def __getitem__(self, mask: SubsetMask) -> Fraction:
+        self._require_frame(mask)
+        return Fraction(self._numerators.get(mask.bits, 0), self._denominator)
+
+    def _missing(self, bits: int) -> int:
+        """Numerator of the mass on focal elements disjoint from `bits`."""
+        return sum([n for focal, n in self._numerators.items() if not focal & bits])
 
     def belief(self, mask: SubsetMask) -> Fraction:
         """Total mass of focal elements contained in `mask`."""
-        if mask.frame != self._frame:
-            raise FrameMismatch(f"{mask} does not belong to the frame")
-        return sum(
-            (v for focal, v in self._focal.items() if focal.bits & ~mask.bits == 0),
-            ZERO,
-        )
+        self._require_frame(mask)
+        return Fraction(self._missing(~mask.bits), self._denominator)
 
     def plausibility(self, mask: SubsetMask) -> Fraction:
         """Mass not committed against `mask`: 1 - Bel(complement)."""
-        return ONE - self.belief(mask.complement())
+        self._require_frame(mask)
+        return Fraction(self._denominator - self._missing(mask.bits), self._denominator)
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""
-        return all(len(mask) == 1 for mask in self._focal)
+        return all(bits.bit_count() == 1 for bits in self._numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return self._frame == other._frame and self._focal == other._focal
+        return (
+            self._frame == other._frame
+            and self._denominator == other._denominator
+            and self._numerators == other._numerators
+        )
 
     def __hash__(self) -> int:
-        return hash((self._frame, tuple(self._focal.items())))
+        return hash((self._frame, self._denominator, tuple(self._numerators.items())))
 
     def __repr__(self) -> str:
-        body = "; ".join(f"m({mask}) = {format_rational(v)}" for mask, v in self._focal.items())
+        body = "; ".join(f"m({mask}) = {format_rational(v)}" for mask, v in self.focal())
         return f"MassFunction<{body}>"

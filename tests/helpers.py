@@ -104,6 +104,37 @@ def random_fractions(rng, count):
     return [Fraction(w, total) for w in weights]
 
 
+# The divisors of 720720, the least common multiple of 1..16: fractions over
+# them have unlike denominators but a common denominator of 20 bits at most.
+_DIVISORS = sorted({q for d in range(1, 849) if 720720 % d == 0 for q in (d, 720720 // d)})
+
+
+def mixed_fractions(rng, count):
+    """`count` positive fractions summing exactly to 1, on unlike denominators.
+
+    All but one are unit fractions over random divisors of 720720 no smaller
+    than ``2 * count``, so they sum to at most 1/2; the remainder goes to a
+    random position.
+    """
+    large = [d for d in _DIVISORS if d >= 2 * count]
+    values = [Fraction(1, rng.choice(large)) for _ in range(count - 1)]
+    values.append(1 - sum(values, Fraction(0)))
+    rng.shuffle(values)
+    return values
+
+
+def wide_frame(size):
+    """A frame of `size` labels ``h0``, ``h1``, ..., for sizes past LABEL_POOL."""
+    return Frame(tuple(f"h{i}" for i in range(size)))
+
+
+def wide_mass(rng, size):
+    """64-128 focal elements on a frame of `size` labels, unlike denominators."""
+    return random_mass(
+        rng, wide_frame(size), max_focal=128, min_focal=64, fractions=mixed_fractions
+    )
+
+
 def random_frame(rng, max_size, min_size=1):
     return Frame(LABEL_POOL[: rng.randint(min_size, max_size)])
 
@@ -115,13 +146,13 @@ def random_mask(rng, frame, nonempty=True):
     )
 
 
-def random_mass(rng, frame, max_focal=4):
-    count = rng.randint(1, min(max_focal, (1 << frame.size) - 1))
+def random_mass(rng, frame, max_focal=4, min_focal=1, fractions=random_fractions):
+    count = rng.randint(min_focal, min(max_focal, (1 << frame.size) - 1))
     masks = set()
     while len(masks) < count:
         masks.add(random_mask(rng, frame))
     masks = sorted(masks, key=lambda m: m.bits)
-    return MassFunction(frame, list(zip(masks, random_fractions(rng, count))))
+    return MassFunction(frame, list(zip(masks, fractions(rng, count))))
 
 
 def random_model(
@@ -133,6 +164,7 @@ def random_model(
     min_codes=1,
     min_messages=1,
     min_plaintexts=1,
+    fractions=random_fractions,
 ):
     messages = tuple(f"q{i}" for i in range(rng.randint(min_messages, max_messages)))
     domain_size = rng.randint(min_plaintexts, min(max_plaintexts, (1 << frame.size) - 1))
@@ -141,7 +173,7 @@ def random_model(
         domain.add(random_mask(rng, frame))
     domain = tuple(sorted(domain, key=lambda m: m.bits))
     count = rng.randint(min_codes, max_codes)
-    probs = random_fractions(rng, count)
+    probs = fractions(rng, count)
     codes = tuple(
         Code(
             f"s{i}",

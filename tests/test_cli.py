@@ -320,6 +320,24 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ModelSyntaxError")
 
+    @pytest.mark.parametrize("command", ["derive", "bayes", "williams", "validate"])
+    @pytest.mark.parametrize(
+        "old,new",
+        [("no", "n\\ud800"), ("CHERRY", "CHERRY\\ud800")],
+        ids=["frame-label", "message-label"],
+    )
+    def test_lone_surrogate_label_is_model_error(
+        self, capsys, tmp_path, example1_path, old, new, command
+    ):
+        path = tmp_path / "surrogate.json"
+        with open(example1_path, encoding="utf-8") as handle:
+            path.write_text(handle.read().replace(old, new), encoding="utf-8")
+        status, out, err = run(capsys, command, str(path))
+        assert status == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ModelSyntaxError")
+
     def test_observed_field_supplies_message(self, capsys, example1_path):
         status, out, _ = run(capsys, "derive", example1_path)
         assert status == 0

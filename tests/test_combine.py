@@ -19,11 +19,14 @@ from beliefkit import (
 from helpers import (
     MANY_CODES,
     as_set_dict,
+    mixed_fractions,
     oracle_combine,
+    oracle_derive,
     producible_message,
     random_frame,
     random_mass,
     random_model,
+    wide_mass,
 )
 from test_mass import masses
 
@@ -54,7 +57,7 @@ class TestDirectCombination:
     def test_total_conflict(self):
         yes_sure = MassFunction(YN, [(YES, F(1))])
         no_sure = MassFunction(YN, [(NO, F(1))])
-        with pytest.raises(TotalConflict):
+        with pytest.raises(TotalConflict, match="^every focal intersection is empty$"):
             combine_masses(yes_sure, no_sure)
 
     def test_partial_conflict_renormalizes(self):
@@ -82,6 +85,15 @@ class TestDirectCombination:
                 result = combine_masses(m1, m2)
                 assert as_set_dict(result.combined) == expected
                 assert result.conflict == conflict
+
+    def test_matches_set_oracle_at_scale_with_unlike_denominators(self):
+        rng = random.Random(1729)
+        for size in (8, 9, 10):
+            m1, m2 = wide_mass(rng, size), wide_mass(rng, size)
+            expected, conflict = oracle_combine(as_set_dict(m1), as_set_dict(m2))
+            result = combine_masses(m1, m2)
+            assert as_set_dict(result.combined) == expected
+            assert result.conflict == conflict
 
 
 @st.composite
@@ -155,7 +167,9 @@ class TestProductCombination:
         b = YN.subset(["no"])
         yes_model = EvidenceModel(YN, ("qa",), (a,), (Code("s", F(1), {a: "qa"}),))
         no_model = EvidenceModel(YN, ("qb",), (b,), (Code("u", F(1), {b: "qb"}),))
-        with pytest.raises(TotalConflict):
+        with pytest.raises(
+            TotalConflict, match="^the two messages rule out every code pair$"
+        ):
             combine_models(yes_model, "qa", no_model, "qb")
 
     def test_unknown_message_rejected(self, example1):
@@ -193,6 +207,21 @@ class TestProductCombination:
                 with pytest.raises(TotalConflict):
                     combine_models(model1, q1, model2, q2)
                 continue
+            product = combine_models(model1, q1, model2, q2)
+            assert product.combined == direct.combined
+            assert product.conflict == direct.conflict
+
+    def test_agrees_with_direct_route_on_unlike_code_denominators(self):
+        rng = random.Random(8128)
+        many = {**MANY_CODES, "min_codes": 60, "max_codes": 80, "fractions": mixed_fractions}
+        for _ in range(3):
+            frame = random_frame(rng, 6, min_size=5)
+            model1, model2 = (random_model(rng, frame, **many) for _ in range(2))
+            q1, q2 = producible_message(rng, model1), producible_message(rng, model2)
+            m1, m2 = model1.derive_mass(q1), model2.derive_mass(q2)
+            assert as_set_dict(m1) == oracle_derive(model1, q1)
+            assert as_set_dict(m2) == oracle_derive(model2, q2)
+            direct = combine_masses(m1, m2)
             product = combine_models(model1, q1, model2, q2)
             assert product.combined == direct.combined
             assert product.conflict == direct.conflict

@@ -1,6 +1,14 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import beliefkit
 from beliefkit import Frame, FrameMismatch, SubsetMask, UnknownLabel
 
 from helpers import powerset
@@ -146,3 +154,29 @@ def test_masks_are_hashable():
     frame = Frame(("a", "b", "c"))
     seen = {frame.subset(["a"]), frame.subset(["a"])}
     assert len(seen) == 1
+
+
+def test_copies_and_pickles_hash_their_labels_afresh(tmp_path):
+    # String hashes are salted per process, so a frame's hash must be
+    # recomputed where it is unpickled, or masks keyed on it go missing.
+    frame = Frame(("yes", "no", "maybe"))
+    assert copy.copy(frame) == frame and hash(copy.deepcopy(frame)) == hash(frame)
+    table = {mask: str(mask) for mask in frame.full().subsets()}
+    path = tmp_path / "table.pickle"
+    path.write_bytes(pickle.dumps((frame, table)))
+    check = (
+        "import pickle, sys\n"
+        "from beliefkit import Frame\n"
+        "frame, table = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "fresh = Frame(('yes', 'no', 'maybe'))\n"
+        "assert hash(frame) == hash(fresh)\n"
+        "for mask in fresh.full().subsets():\n"
+        "    assert table[mask] == str(mask)\n"
+    )
+    src = str(Path(beliefkit.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", check, str(path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

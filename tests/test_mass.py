@@ -17,7 +17,17 @@ from beliefkit import (
     parse_rational,
 )
 
-from helpers import as_set_dict, oracle_belief, oracle_mobius, powerset, random_mass
+from beliefkit.mass import MAX_INVERSION_FRAME
+
+from helpers import (
+    as_set_dict,
+    oracle_belief,
+    oracle_mobius,
+    powerset,
+    random_mass,
+    wide_frame,
+    wide_mass,
+)
 
 F = Fraction
 YN = Frame(("yes", "no"))
@@ -44,11 +54,11 @@ class TestConstruction:
         assert MassFunction.vacuous(single).focal() == ((single.full(), F(1)),)
 
     def test_not_normalized(self):
-        with pytest.raises(MassNotNormalized):
+        with pytest.raises(MassNotNormalized, match="^masses sum to 1/2, expected 1$"):
             MassFunction(YN, [(NO, F(1, 2))])
 
     def test_mass_on_empty_set(self):
-        with pytest.raises(MassOnEmptySet):
+        with pytest.raises(MassOnEmptySet, match="^the empty set carries mass 1/3$"):
             MassFunction(YN, [(YN.empty(), F(1, 3)), (TOP, F(2, 3))])
 
     def test_negative_mass(self):
@@ -138,13 +148,18 @@ class TestBeliefInversion:
 
     def test_empty_set_belief_must_be_zero(self):
         bel = {YN.empty(): F(1, 4), YES: F(1, 4), NO: F(1, 4), TOP: F(1)}
-        with pytest.raises(NotABeliefFunction):
+        with pytest.raises(
+            NotABeliefFunction, match="^inversion puts mass 1/4 on the empty set$"
+        ):
             MassFunction.from_belief(YN, bel)
 
     def test_non_monotone_table_rejected(self):
         # Bel({yes}) > Bel(T) forces a negative mass somewhere
         bel = {YN.empty(): F(0), YES: F(9, 10), NO: F(9, 10), TOP: F(1)}
-        with pytest.raises(NotABeliefFunction):
+        with pytest.raises(
+            NotABeliefFunction,
+            match=r"^inversion yields negative mass -4/5 on \{yes,no\}$",
+        ):
             MassFunction.from_belief(YN, bel)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -166,6 +181,34 @@ class TestBeliefInversion:
                 for mask in frame.full().subsets()
             }
             assert oracle_mobius(frame.labels, bel_sets) == as_set_dict(m)
+
+
+class TestKernelsAtScale:
+    """The integer kernels against the set oracles, on 64-128 focal elements
+    whose masses have unlike denominators."""
+
+    def test_belief_and_plausibility_match_oracle_at_frame_8(self):
+        m = wide_mass(random.Random(2424), 8)
+        by_set = as_set_dict(m)
+        labels = frozenset(m.frame.labels)
+        for subset in powerset(m.frame.labels):
+            mask = m.frame.subset(subset)
+            assert m.belief(mask) == oracle_belief(by_set, subset)
+            assert m.plausibility(mask) == 1 - oracle_belief(by_set, labels - subset)
+
+    def test_inversion_matches_oracle_and_round_trips_at_frame_10(self):
+        m = wide_mass(random.Random(4242), 10)
+        by_set = as_set_dict(m)
+        bel_sets = {subset: oracle_belief(by_set, subset) for subset in powerset(m.frame.labels)}
+        table = {m.frame.subset(subset): value for subset, value in bel_sets.items()}
+        inverted = MassFunction.from_belief(m.frame, table)
+        assert as_set_dict(inverted) == oracle_mobius(m.frame.labels, bel_sets)
+        assert inverted == m
+
+    def test_frame_over_the_inversion_limit_rejected(self):
+        frame = wide_frame(MAX_INVERSION_FRAME + 1)
+        with pytest.raises(ValueError, match="limited to frames of size 12 or smaller, got 13"):
+            MassFunction.from_belief(frame, {})
 
 
 @st.composite
