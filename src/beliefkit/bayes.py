@@ -4,9 +4,12 @@ Where the belief-function route conditions only on which codes are possible,
 the Bayesian route places a prior over the plaintext subsets themselves and
 conditions on the full evidence.  Codes are chosen independently of the
 plaintext, so the likelihood of a plaintext is the total probability of the
-codes that encode it to the observed message.  Everything here is exact
-rational arithmetic except :func:`simulate`, which is the Monte Carlo
-cross-check of the generative story.
+codes that encode it to the observed message.  Both routes read the model's
+constraining relation, built once per model, and the same integer code
+weights: the belief route divides them by the possible codes' total, this
+one sums them per plaintext over the code prior's denominator.  Everything
+here is exact rational arithmetic except :func:`simulate`, which is the
+Monte Carlo cross-check of the generative story.
 """
 
 from __future__ import annotations
@@ -122,28 +125,32 @@ def likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fra
     Codes are chosen independently of the plaintext, so this is the total
     prior probability of the codes encoding `plaintext` to `message`.
     """
-    model._require_message(message)
-    if plaintext not in model.plaintexts:
+    likelihoods = _likelihoods(model, message)
+    if plaintext not in likelihoods:
         raise UnknownPlaintext(f"{plaintext} is not in the plaintext domain")
-    return _likelihood(model, plaintext, message)
+    return likelihoods[plaintext]
 
 
-def _likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fraction:
-    return sum(
-        (code.prob for code in model.codes if code.codebook[plaintext] == message),
-        Fraction(0),
-    )
+def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
+    """The likelihood of every plaintext of the domain, domain order."""
+    relation = model.constraining_relation(message)
+    weights, denominator = model._possible_code_weights(relation)
+    sums = dict.fromkeys(model.plaintexts, 0)
+    for name, mask in relation.pairs:
+        sums[mask] += weights[name]
+    return {mask: Fraction(total, denominator) for mask, total in sums.items()}
+
+
+def _check_prior_domain(model: EvidenceModel, prior: PriorSpec) -> None:
+    for mask in prior.weights:
+        if mask not in model.plaintexts:
+            raise UnknownPlaintext(f"prior covers {mask}, not in the plaintext domain")
 
 
 def posterior(model: EvidenceModel, prior: PriorSpec, message: str) -> PosteriorReport:
     """Exact posterior over the plaintext domain given the observed message."""
-    model._require_message(message)
-    for mask in prior.weights:
-        if mask not in model.plaintexts:
-            raise UnknownPlaintext(f"prior covers {mask}, not in the plaintext domain")
-    likelihoods = {
-        mask: _likelihood(model, mask, message) for mask in model.plaintexts
-    }
+    likelihoods = _likelihoods(model, message)
+    _check_prior_domain(model, prior)
     joint = {mask: prior.weight_of(mask) * likelihoods[mask] for mask in model.plaintexts}
     normalizer = sum(joint.values(), Fraction(0))
     if normalizer == 0:
@@ -219,9 +226,7 @@ def simulate(
     model._require_message(message)
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
-    for mask in prior.weights:
-        if mask not in model.plaintexts:
-            raise UnknownPlaintext(f"prior covers {mask}, not in the plaintext domain")
+    _check_prior_domain(model, prior)
     plaintext_pool = [mask for mask in model.plaintexts if prior.weight_of(mask) > 0]
     plaintext_cum = list(accumulate(float(prior.weight_of(m)) for m in plaintext_pool))
     code_pool = list(model.codes)

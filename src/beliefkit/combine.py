@@ -88,8 +88,8 @@ def combine_models(
     relation2 = model2.constraining_relation(message2)
     if not relation1.decoded or not relation2.decoded:
         raise TotalConflict("one of the messages cannot be produced by any code")
-    weight1 = model1._possible_code_weights(relation1)
-    weight2 = model2._possible_code_weights(relation2)
+    weight1, _ = model1._possible_code_weights(relation1)
+    weight2, _ = model2._possible_code_weights(relation2)
     codes2 = [
         (weight2[name], tuple(mask.bits for mask in plaintexts))
         for name, plaintexts in relation2.decoded.items()

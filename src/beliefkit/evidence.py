@@ -8,6 +8,12 @@ which a belief function over the hypothesis frame is derived: condition the
 code distribution on the codes that could have produced the message, then
 pool each code's probability onto the union of plaintexts it may have
 encoded.
+
+The relations are built once per model, in one lazy pass over the codebooks
+that serves every message, and they are the one place the encoding is read
+for an observed message.  The belief route here and the Bayesian route in
+:mod:`beliefkit.bayes` read the same relation and the same integer code
+weights; they differ only in the total they divide by.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ class Code:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"code name must be a non-empty string, got {self.name!r}")
+        _check_text(self.name, "code name")
         if not isinstance(self.prob, Fraction):
             raise TypeError(f"code probability must be a Fraction, got {self.prob!r}")
         object.__setattr__(self, "codebook", dict(self.codebook))
@@ -56,7 +63,13 @@ class ConstrainingRelation:
 
     @cached_property
     def decoded(self) -> dict[str, tuple[SubsetMask, ...]]:
-        """Code name -> the plaintexts it decodes the message to, model order."""
+        """Code name -> the plaintexts it decodes the message to, model order.
+
+        In a model's relation, codes come in model order and each code's
+        plaintexts in the order of the model's ``plaintexts``.  The dict is
+        built once and shared by every reader of the relation; like
+        ``Code.codebook``, it must not be mutated.
+        """
         grouped: dict[str, list[SubsetMask]] = {}
         for name, mask in self.pairs:
             grouped.setdefault(name, []).append(mask)
@@ -151,14 +164,20 @@ class EvidenceModel:
             )
 
     def constraining_relation(self, message: str) -> ConstrainingRelation:
-        """All (code, plaintext) pairs whose encoding equals `message`."""
+        """All (code, plaintext) pairs whose encoding equals `message`.
+
+        The relation is built once per model and shared by every call.
+        """
         self._require_message(message)
-        pairs = []
+        return self._relations[message]
+
+    @cached_property
+    def _relations(self) -> dict[str, ConstrainingRelation]:
+        pairs: dict[str, list[tuple[str, SubsetMask]]] = {m: [] for m in self.messages}
         for code in self.codes:
             for mask in self.plaintexts:
-                if code.codebook[mask] == message:
-                    pairs.append((code.name, mask))
-        return ConstrainingRelation(tuple(pairs))
+                pairs[code.codebook[mask]].append((code.name, mask))
+        return {message: ConstrainingRelation(tuple(p)) for message, p in pairs.items()}
 
     def derive_mass(self, message: str) -> MassFunction:
         """Belief function induced by observing `message`.
@@ -171,19 +190,25 @@ class EvidenceModel:
         relation = self.constraining_relation(message)
         if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
-        weights = self._possible_code_weights(relation)
+        weights, _ = self._possible_code_weights(relation)
         pooled: dict[int, int] = {}
         for name, weight in weights.items():
             bits = relation.compatibility_set(name).bits
             pooled[bits] = pooled.get(bits, 0) + weight
         return MassFunction._from_numerators(self.frame, sum(weights.values()), pooled)
 
-    def _possible_code_weights(self, relation: ConstrainingRelation) -> dict[str, int]:
-        """Integer weights of the codes of `relation`, model order.
+    def _possible_code_weights(
+        self, relation: ConstrainingRelation
+    ) -> tuple[dict[str, int], int]:
+        """Integer weights of the codes of `relation`, model order, and their denominator.
 
-        P(code | the code is possible) is a code's weight over the sum of
-        all the weights: the code probabilities on their common denominator.
+        A code's prior probability is its weight over the denominator, the
+        common denominator of the possible codes' probabilities.  The belief
+        route divides the weights by their sum instead, which gives
+        P(code | the code is possible); the Bayesian route sums them per
+        plaintext over the denominator, which gives the likelihoods.
         """
         prob = {code.name: code.prob for code in self.codes if code.name in relation.decoded}
         denominator = math.lcm(*(p.denominator for p in prob.values()))
-        return {name: p.numerator * (denominator // p.denominator) for name, p in prob.items()}
+        weights = {name: p.numerator * (denominator // p.denominator) for name, p in prob.items()}
+        return weights, denominator

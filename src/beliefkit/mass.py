@@ -35,12 +35,12 @@ ZERO = Fraction(0)
 # Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
 MAX_INVERSION_FRAME = 12
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the exact text forms ``p/q`` and integer shorthand ``p``."""
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     numerator = int(match.group(1))

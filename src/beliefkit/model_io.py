@@ -156,7 +156,10 @@ def parse_model(text: str) -> EvidenceModel:
             if mask in codebook:
                 raise _fail(entry, f"duplicate plaintext {mask}")
             codebook[mask] = label
-        codes.append(Code(name, prob, codebook))
+        try:
+            codes.append(Code(name, prob, codebook))
+        except ValueError as err:
+            raise _fail(f"{field}.name", str(err)) from None
 
     observed = doc.get("observed")
     if observed is not None and not isinstance(observed, str):
@@ -194,23 +197,20 @@ def load_model(path: str | Path) -> EvidenceModel:
 
 def validate_model(model: EvidenceModel) -> list[str]:
     """Warnings about a structurally valid model; empty means clean."""
+    relations = {message: model.constraining_relation(message) for message in model.messages}
     findings = []
     for code in model.codes:
-        by_message: dict[str, list[SubsetMask]] = {}
-        for mask in model.plaintexts:
-            by_message.setdefault(code.codebook[mask], []).append(mask)
-        for message in model.messages:
-            hits = by_message.get(message, [])
+        for message, relation in relations.items():
+            hits = relation.decoded.get(code.name, ())
             if len(hits) > 1:
                 listed = ", ".join(str(mask) for mask in hits)
                 findings.append(
                     f"code {code.name} non-injective on {message}: {listed}"
                 )
-    emitted = {label for code in model.codes for label in code.codebook.values()}
-    for message in model.messages:
-        if message not in emitted:
+    for message, relation in relations.items():
+        if not relation.pairs:
             findings.append(f"message {message} emitted by no code")
-    if model.observed is not None and model.observed not in emitted:
+    if model.observed is not None and not relations[model.observed].pairs:
         findings.append(
             f"observed message {model.observed} cannot be produced by any code"
         )

@@ -71,6 +71,21 @@ def oracle_derive(model: EvidenceModel, message):
     return {union: value / total for union, value in pooled.items()}
 
 
+def oracle_likelihood(model: EvidenceModel, message):
+    """Brute-force likelihoods over plain data structures.
+
+    For every plaintext of the domain, the total probability of the codes
+    whose codebook sends it to `message`.  Returns a dict frozenset ->
+    Fraction with an entry for each plaintext, zero included.
+    """
+    table = {frozenset(mask.members): Fraction(0) for mask in model.plaintexts}
+    for code in model.codes:
+        for mask, label in code.codebook.items():
+            if label == message:
+                table[frozenset(mask.members)] += code.prob
+    return table
+
+
 def oracle_combine(mass1_by_set, mass2_by_set):
     """Dempster's rule on frozenset-keyed mass dicts; returns (combined, conflict)."""
     pooled = {}

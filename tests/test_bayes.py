@@ -25,7 +25,15 @@ from beliefkit import (
     williams_check,
 )
 
-from helpers import producible_message, random_frame, random_model, random_prior
+from helpers import (
+    MANY_CODES,
+    mixed_fractions,
+    oracle_likelihood,
+    producible_message,
+    random_frame,
+    random_model,
+    random_prior,
+)
 
 F = Fraction
 YN = Frame(("yes", "no"))
@@ -34,6 +42,16 @@ YES = YN.subset(["yes"])
 TOP = YN.full()
 
 SEED = 20250808
+
+
+def oracle_models(rng):
+    """150 small models, then 6 with hundreds of codes on unlike denominators."""
+    for _ in range(150):
+        yield random_model(rng, random_frame(rng, 4), max_codes=5)
+    for _ in range(6):
+        yield random_model(
+            rng, random_frame(rng, 6, min_size=5), **MANY_CODES, fractions=mixed_fractions
+        )
 
 
 class TestLikelihood:
@@ -52,6 +70,14 @@ class TestLikelihood:
         other_domain = Frame(("yes", "no")).empty()
         with pytest.raises(UnknownPlaintext):
             likelihood(example1, other_domain, "BANANA")
+
+    def test_matches_oracle_on_random_models(self):
+        rng = random.Random(31337)
+        for model in oracle_models(rng):
+            message = rng.choice(model.messages)
+            expected = oracle_likelihood(model, message)
+            for mask in model.plaintexts:
+                assert likelihood(model, mask, message) == expected[frozenset(mask.members)]
 
 
 class TestPriorSpec:
@@ -118,6 +144,28 @@ class TestPosterior:
         )
         with pytest.raises(UnknownPlaintext):
             posterior(model, PriorSpec({outside: F(1)}), "q0")
+
+    def test_matches_oracle_on_random_models(self):
+        rng = random.Random(27182)
+        for model in oracle_models(rng):
+            message = rng.choice(model.messages)
+            prior = random_prior(rng, model.plaintexts)
+            table = oracle_likelihood(model, message)
+            joint = {
+                mask: prior.weight_of(mask) * table[frozenset(mask.members)]
+                for mask in model.plaintexts
+            }
+            normalizer = sum(joint.values(), Fraction(0))
+            if normalizer == 0:
+                with pytest.raises(ZeroMarginal):
+                    posterior(model, prior, message)
+                continue
+            report = posterior(model, prior, message)
+            assert report.normalizer == normalizer
+            assert report.posterior == {mask: v / normalizer for mask, v in joint.items()}
+            assert report.likelihoods == {
+                mask: table[frozenset(mask.members)] for mask in model.plaintexts
+            }
 
     def test_exactness_identity_on_random_models(self):
         rng = random.Random(8086)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from beliefkit import bundled_model_path
 from beliefkit.cli import run_command
 
 SEED = "20250808"
@@ -322,17 +323,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["derive", "bayes", "williams", "validate"])
     @pytest.mark.parametrize(
-        "old,new",
-        [("no", "n\\ud800"), ("CHERRY", "CHERRY\\ud800")],
-        ids=["frame-label", "message-label"],
+        "model,old,new",
+        [
+            ("example1", "no", "n\\ud800"),
+            ("example1", "CHERRY", "CHERRY\\ud800"),
+            # example2, because validate prints the name of its non-injective code
+            ("example2", "s1'", "s1'\\ud800"),
+        ],
+        ids=["frame-label", "message-label", "code-name"],
     )
     def test_lone_surrogate_label_is_model_error(
-        self, capsys, tmp_path, example1_path, old, new, command
+        self, capsys, tmp_path, model, old, new, command
     ):
         path = tmp_path / "surrogate.json"
-        with open(example1_path, encoding="utf-8") as handle:
+        with open(bundled_model_path(model), encoding="utf-8") as handle:
             path.write_text(handle.read().replace(old, new), encoding="utf-8")
         status, out, err = run(capsys, command, str(path))
+        assert status == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ModelSyntaxError")
+
+    def test_rational_with_trailing_newline_is_model_error(
+        self, capsys, tmp_path, example2_path
+    ):
+        path = tmp_path / "newline.json"
+        with open(example2_path, encoding="utf-8") as handle:
+            path.write_text(handle.read().replace('"1/3"', '"1/3\\n"'), encoding="utf-8")
+        status, out, err = run(capsys, "derive", str(path))
         assert status == 1
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -352,6 +370,9 @@ class TestExitCodes:
         assert run(capsys, "bayes", example1_path, "--pair", "{no}", "T")[0] == 2
         assert run(
             capsys, "bayes", example1_path, "--odds", "x", "--pair", "{no}", "T"
+        )[0] == 2
+        assert run(
+            capsys, "bayes", example1_path, "--odds", "2\n", "--pair", "{no}", "T"
         )[0] == 2
         assert run(
             capsys, "factors", example1_path, "--pair", "no", "T"

@@ -65,6 +65,11 @@ class TestConstrainingRelation:
         with pytest.raises(UnknownMessage):
             example1.constraining_relation("KIWI")
 
+    def test_built_once_per_model(self, example2):
+        assert example2.constraining_relation("BANANA") is example2.constraining_relation(
+            "BANANA"
+        )
+
 
 class TestPossibleCodes:
     def test_banana_keeps_all_codes(self, example1):

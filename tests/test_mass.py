@@ -281,7 +281,9 @@ class TestRationalText:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["", "a", "1.5", "1/0", "1 / 2", "/3", "2/"])
+    @pytest.mark.parametrize(
+        "text", ["", "a", "1.5", "1/0", "1 / 2", "/3", "2/", "1/2\n", "\u0661/\u0662"]
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

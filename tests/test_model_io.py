@@ -160,6 +160,25 @@ class TestValidateModel:
             "code s1' non-injective on BANANA: {no}, {yes,no}"
         ]
 
+    def test_non_injective_masks_in_plaintexts_order(self):
+        text = json.dumps(
+            {
+                "frame": ["yes", "no"],
+                "messages": ["q0"],
+                "plaintexts": [["yes", "no"], ["yes"], ["no"]],
+                "codes": [
+                    {
+                        "name": "s",
+                        "prob": "1",
+                        "map": {"{no}": "q0", "{yes,no}": "q0", "{yes}": "q0"},
+                    }
+                ],
+            }
+        )
+        assert validate_model(parse_model(text)) == [
+            "code s non-injective on q0: {yes,no}, {yes}, {no}"
+        ]
+
     def test_unused_message_warning(self):
         frame = Frame(("a", "b"))
         top = frame.full()
