@@ -223,31 +223,34 @@ def simulate(
     `message`, and tabulates plaintext frequencies among kept trials.  The
     trial stream is fully determined by `seed` (Mersenne Twister).
     """
-    model._require_message(message)
+    decoded = model.constraining_relation(message).decoded
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     _check_prior_domain(model, prior)
-    plaintext_pool = [mask for mask in model.plaintexts if prior.weight_of(mask) > 0]
-    plaintext_cum = list(accumulate(float(prior.weight_of(m)) for m in plaintext_pool))
-    code_pool = list(model.codes)
-    code_cum = list(accumulate(float(code.prob) for code in code_pool))
+    domain = model.plaintexts
+    # Trials index the domain and the codes: sends[c] holds the positions in
+    # the domain of the plaintexts that code c decodes the message to.
+    position = {mask.bits: p for p, mask in enumerate(domain)}
+    sends = [{position[mask.bits] for mask in decoded.get(code.name, ())} for code in model.codes]
+    plaintext_pool = [p for p, mask in enumerate(domain) if prior.weight_of(mask) > 0]
+    plaintext_cum = list(accumulate(float(prior.weight_of(domain[p])) for p in plaintext_pool))
+    code_cum = list(accumulate(float(code.prob) for code in model.codes))
     rng = random.Random(seed)
-    counts = {mask: 0 for mask in model.plaintexts}
+    counts = [0] * len(domain)
     accepted = 0
     last_plaintext = len(plaintext_pool) - 1
-    last_code = len(code_pool) - 1
+    last_code = len(code_cum) - 1
     for _ in range(samples):
         # min() guards the rare float round-up of u onto the last boundary
         u = rng.random() * plaintext_cum[-1]
-        mask = plaintext_pool[min(bisect_right(plaintext_cum, u), last_plaintext)]
+        p = plaintext_pool[min(bisect_right(plaintext_cum, u), last_plaintext)]
         u = rng.random() * code_cum[-1]
-        code = code_pool[min(bisect_right(code_cum, u), last_code)]
-        if code.codebook[mask] == message:
-            counts[mask] += 1
+        if p in sends[min(bisect_right(code_cum, u), last_code)]:
+            counts[p] += 1
             accepted += 1
     if accepted == 0:
         raise NoAcceptedTrials(
             f"none of the {samples} trials produced message {message!r}"
         )
-    frequencies = {mask: counts[mask] / accepted for mask in model.plaintexts}
+    frequencies = {mask: count / accepted for mask, count in zip(domain, counts)}
     return SimulationReport(frequencies, accepted, samples, seed)

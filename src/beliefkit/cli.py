@@ -197,14 +197,15 @@ def _frame_text(frame: Frame) -> str:
 
 def _mass_tables(mass: MassFunction) -> dict[str, dict[str, str]]:
     frame = mass.frame
+    focal = mass.focal()
     if frame.size <= 4:
         rows = [m for m in frame.full().subsets() if len(m) > 0]
     else:
-        focal = {mask.bits for mask, _ in mass.focal()}
-        focal.add(frame.full().bits)
-        rows = [SubsetMask(frame, bits) for bits in sorted(focal)]
+        row_bits = {mask.bits for mask, _ in focal}
+        row_bits.add(frame.full().bits)
+        rows = [SubsetMask(frame, bits) for bits in sorted(row_bits)]
     return {
-        "mass": {str(m): format_rational(v) for m, v in mass.focal()},
+        "mass": {str(m): format_rational(v) for m, v in focal},
         "belief": {str(m): format_rational(mass.belief(m)) for m in rows},
         "plausibility": {str(m): format_rational(mass.plausibility(m)) for m in rows},
     }

@@ -83,7 +83,8 @@ class ConstrainingRelation:
         """Union of all plaintexts the relation pairs with code `name`."""
         if name not in self.decoded:
             raise CodeNotPossible(f"code {name!r} is not in the constraining relation")
-        return reduce(or_, self.decoded[name])
+        masks = self.decoded[name]
+        return SubsetMask(masks[0].frame, reduce(or_, [mask.bits for mask in masks]))
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,9 @@ class EvidenceModel:
             raise TotalConflict(f"no code can produce message {message!r}")
         weights, _ = self._possible_code_weights(relation)
         pooled: dict[int, int] = {}
-        for name, weight in weights.items():
-            bits = relation.compatibility_set(name).bits
-            pooled[bits] = pooled.get(bits, 0) + weight
+        for name, masks in relation.decoded.items():
+            bits = reduce(or_, [mask.bits for mask in masks])
+            pooled[bits] = pooled.get(bits, 0) + weights[name]
         return MassFunction._from_numerators(self.frame, sum(weights.values()), pooled)
 
     def _possible_code_weights(

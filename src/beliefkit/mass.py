@@ -11,6 +11,14 @@ numerators over one common denominator, so belief queries, the belief-table
 inversion and Dempster's rule (:mod:`beliefkit.combine`) run on integer
 arithmetic alone; :class:`SubsetMask` and :class:`Fraction` values are built
 only where they leave the API.
+
+Dense work goes through one in-place transform over the subset lattice,
+O(size * 2^size) (Kennes & Smets, "Computational aspects of the Möbius
+transformation", UAI 1990).  Summing up the lattice gives the table of Bel
+numerators: on frames of at most MAX_INVERSION_FRAME labels a mass builds it
+on its first Bel or Pl query and answers every query from it; larger frames
+scan the focal elements instead.
+Subtracting down the lattice inverts a belief table in :meth:`from_belief`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add, sub
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     FrameMismatch,
@@ -72,6 +81,29 @@ def _common_denominator(values: Iterable[Fraction]) -> int:
     return math.lcm(*(value.denominator for value in values))
 
 
+def _lattice_transform(table: list[int], size: int, op: Callable[[int, int], int]) -> None:
+    """Fold every cell of `table` with the cells below it, one bit at a time.
+
+    With ``add`` each cell ``A`` becomes the sum of the cells of the subsets
+    of ``A`` (the zeta transform); with ``sub`` the same passes undo it (the
+    Möbius inverse).  For bit ``i`` the cells with the bit set are updated
+    from their partners without it in whole-slice passes: one strided slice
+    per offset inside a block of ``2^(i+1)`` cells, or one slice per block,
+    whichever needs fewer slices.
+    """
+    cells = 1 << size
+    for i in range(size):
+        half = 1 << i
+        step = half << 1
+        if half <= cells // step:
+            for hi in range(half, step):
+                table[hi::step] = map(op, table[hi::step], table[hi - half :: step])
+        else:
+            for lo in range(0, cells, step):
+                hi = lo + half
+                table[hi : lo + step] = map(op, table[hi : lo + step], table[lo:hi])
+
+
 class MassFunction:
     """A basic probability assignment over subsets of one frame.
 
@@ -85,7 +117,7 @@ class MassFunction:
     ``SubsetMask``/``Fraction`` pairs from it.
     """
 
-    __slots__ = ("_frame", "_denominator", "_numerators")
+    __slots__ = ("_frame", "_denominator", "_numerators", "_belief_table")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[SubsetMask, object]]):
         values: list[tuple[int, Fraction]] = []
@@ -134,6 +166,7 @@ class MassFunction:
         self._frame = frame
         self._denominator = denominator // common
         self._numerators = {bits: focal[bits] // common for bits in sorted(focal)}
+        self._belief_table = None
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
@@ -147,11 +180,11 @@ class MassFunction:
         `belief` must assign a value to every one of the ``2^size`` subsets
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
-        here as an in-place transform over the bit lattice, on the table's
-        numerators over their common denominator.  Raises ValueError for a
-        frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
-        the table is not dense, Bel(full) != 1, Bel(empty) != 0, or any
-        inverted mass is negative.
+        by the lattice transform that builds Bel tables, run with ``sub``,
+        on the table's numerators over their common denominator.  Raises
+        ValueError for a frame larger than MAX_INVERSION_FRAME, and
+        NotABeliefFunction when the table is not dense, Bel(full) != 1,
+        Bel(empty) != 0, or any inverted mass is negative.
         """
         size = frame.size
         if size > MAX_INVERSION_FRAME:
@@ -176,11 +209,7 @@ class MassFunction:
             )
         denominator = _common_denominator(values)
         table = [v.numerator * (denominator // v.denominator) for v in values]
-        for i in range(size):
-            bit = 1 << i
-            for x in range(1 << size):
-                if x & bit:
-                    table[x] -= table[x ^ bit]
+        _lattice_transform(table, size, sub)
         if table[0] != 0:
             raise NotABeliefFunction(
                 f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
@@ -215,19 +244,44 @@ class MassFunction:
         self._require_frame(mask)
         return Fraction(self._numerators.get(mask.bits, 0), self._denominator)
 
-    def _missing(self, bits: int) -> int:
-        """Numerator of the mass on focal elements disjoint from `bits`."""
-        return sum([n for focal, n in self._numerators.items() if not focal & bits])
+    def _belief_numerator(self, bits: int) -> int:
+        """Numerator of Bel(`bits`): the focal elements inside `bits`.
+
+        Read from the Bel table, built on the first query; frames past
+        MAX_INVERSION_FRAME scan the focal elements instead.
+        """
+        table = self._belief_table
+        if table is None:
+            size = self._frame.size
+            if size > MAX_INVERSION_FRAME:
+                outside = ~bits
+                return sum([n for focal, n in self._numerators.items() if not focal & outside])
+            table = [0] * (1 << size)
+            for focal, n in self._numerators.items():
+                table[focal] = n
+            _lattice_transform(table, size, add)
+            self._belief_table = table
+        return table[bits]
 
     def belief(self, mask: SubsetMask) -> Fraction:
-        """Total mass of focal elements contained in `mask`."""
+        """Total mass of focal elements contained in `mask`.
+
+        Read from the Bel table, built on the first query, or by a scan of
+        the focal elements on frames past MAX_INVERSION_FRAME.
+        """
         self._require_frame(mask)
-        return Fraction(self._missing(~mask.bits), self._denominator)
+        return Fraction(self._belief_numerator(mask.bits), self._denominator)
 
     def plausibility(self, mask: SubsetMask) -> Fraction:
-        """Mass not committed against `mask`: 1 - Bel(complement)."""
+        """Mass not committed against `mask`: 1 - Bel(complement).
+
+        Read the same way as :meth:`belief`.
+        """
         self._require_frame(mask)
-        return Fraction(self._denominator - self._missing(mask.bits), self._denominator)
+        complement = mask.bits ^ ((1 << self._frame.size) - 1)
+        return Fraction(
+            self._denominator - self._belief_numerator(complement), self._denominator
+        )
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""

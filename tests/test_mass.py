@@ -21,6 +21,7 @@ from beliefkit.mass import MAX_INVERSION_FRAME
 
 from helpers import (
     as_set_dict,
+    mixed_fractions,
     oracle_belief,
     oracle_mobius,
     powerset,
@@ -209,6 +210,61 @@ class TestKernelsAtScale:
         frame = wide_frame(MAX_INVERSION_FRAME + 1)
         with pytest.raises(ValueError, match="limited to frames of size 12 or smaller, got 13"):
             MassFunction.from_belief(frame, {})
+
+
+def oracle_tables(m):
+    """Subset -> Bel from the set oracle, over every subset of the frame."""
+    by_set = as_set_dict(m)
+    return {subset: oracle_belief(by_set, subset) for subset in powerset(m.frame.labels)}
+
+
+class TestLatticeTransform:
+    """Bel, Pl and from_belief share one transform over the subset lattice;
+    past MAX_INVERSION_FRAME, Bel and Pl scan the focal elements instead."""
+
+    @pytest.mark.parametrize("size", range(1, MAX_INVERSION_FRAME + 1))
+    def test_every_frame_size_against_the_oracles(self, size):
+        rng = random.Random(5000 + size)
+        count = min(48, (1 << size) - 1)
+        m = random_mass(
+            rng, wide_frame(size), max_focal=count, min_focal=count, fractions=mixed_fractions
+        )
+        bel_sets = oracle_tables(m)
+        table = {m.frame.subset(subset): value for subset, value in bel_sets.items()}
+        assert {mask: m.belief(mask) for mask in table} == table
+        assert m._belief_table is not None
+        inverted = MassFunction.from_belief(m.frame, table)
+        if size <= 10:
+            assert as_set_dict(inverted) == oracle_mobius(m.frame.labels, bel_sets)
+        assert inverted == m
+
+    def test_dense_table_at_frame_12_with_256_focal_elements(self):
+        m = random_mass(
+            random.Random(1212),
+            wide_frame(12),
+            max_focal=256,
+            min_focal=256,
+            fractions=mixed_fractions,
+        )
+        bel_sets = oracle_tables(m)
+        labels = frozenset(m.frame.labels)
+        for subset, bel in bel_sets.items():
+            mask = m.frame.subset(subset)
+            assert m.belief(mask) == bel
+            assert m.plausibility(mask) == 1 - bel_sets[labels - subset]
+        assert m._belief_table is not None
+
+    def test_frame_past_the_inversion_limit_scans(self):
+        rng = random.Random(1313)
+        m = wide_mass(rng, MAX_INVERSION_FRAME + 1)
+        by_set = as_set_dict(m)
+        labels = m.frame.labels
+        for _ in range(300):
+            subset = frozenset(label for label in labels if rng.random() < 0.7)
+            mask = m.frame.subset(subset)
+            assert m.belief(mask) == oracle_belief(by_set, subset)
+            assert m.plausibility(mask) == 1 - oracle_belief(by_set, frozenset(labels) - subset)
+        assert m._belief_table is None
 
 
 @st.composite
