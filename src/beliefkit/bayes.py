@@ -4,10 +4,11 @@ Where the belief-function route conditions only on which codes are possible,
 the Bayesian route places a prior over the plaintext subsets themselves and
 conditions on the full evidence.  Codes are chosen independently of the
 plaintext, so the likelihood of a plaintext is the total probability of the
-codes that encode it to the observed message.  Both routes read the model's
-constraining relation, built once per model, and the same integer code
-weights: the belief route divides them by the possible codes' total, this
-one sums them per plaintext over the code prior's denominator.  Everything
+codes that encode it to the observed message.  Both routes read one record,
+the message's constraining relation, built once per model: the plaintexts
+each possible code decodes to and its integer weight over a common
+denominator.  The belief route divides the weights by their sum, this one
+sums them per plaintext over the denominator.  Everything
 here is exact rational arithmetic except :func:`simulate`, which is the
 Monte Carlo cross-check of the generative story.
 """
@@ -72,8 +73,7 @@ class PriorSpec:
     @classmethod
     def uniform(cls, plaintexts: Sequence[SubsetMask]) -> PriorSpec:
         """Equal weight on every plaintext of a domain."""
-        share = Fraction(1, len(plaintexts))
-        return cls({mask: share for mask in plaintexts})
+        return cls({mask: Fraction(1, len(plaintexts)) for mask in plaintexts})
 
     @classmethod
     def from_odds(cls, odds: Fraction, first: SubsetMask, second: SubsetMask) -> PriorSpec:
@@ -134,11 +134,11 @@ def likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fra
 def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
     """The likelihood of every plaintext of the domain, domain order."""
     relation = model.constraining_relation(message)
-    weights, denominator = model._possible_code_weights(relation)
     sums = dict.fromkeys(model.plaintexts, 0)
-    for name, mask in relation.pairs:
-        sums[mask] += weights[name]
-    return {mask: Fraction(total, denominator) for mask, total in sums.items()}
+    for name, masks in relation.decoded.items():
+        for mask in masks:
+            sums[mask] += relation.weights[name]
+    return {mask: Fraction(total, relation.denominator) for mask, total in sums.items()}
 
 
 def _check_prior_domain(model: EvidenceModel, prior: PriorSpec) -> None:

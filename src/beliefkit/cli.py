@@ -15,9 +15,9 @@ from typing import Sequence
 
 from . import bayes as bayes_ops
 from .combine import combine_masses, combine_models
-from .errors import BeliefkitError, ModelSyntaxError
+from .errors import BeliefkitError
 from .frames import Frame, SubsetMask
-from .mass import MAX_INVERSION_FRAME, MassFunction, format_rational, parse_rational
+from .mass import MassFunction, format_rational, parse_rational
 from .evidence import EvidenceModel
 from .model_io import (
     load_model,
@@ -224,11 +224,6 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
         if args.model is not None or args.message is not None:
             raise _UsageError("--from-belief replaces the model and --message arguments")
         frame, table = parse_belief_table(read_document(args.from_belief))
-        if frame.size > MAX_INVERSION_FRAME:
-            raise ModelSyntaxError(
-                f"frame: belief inversion is limited to frames of size "
-                f"{MAX_INVERSION_FRAME} or smaller, got {frame.size}"
-            )
         mass = MassFunction.from_belief(frame, table)
         return Report("derive", {"frame": _frame_text(frame), **_mass_tables(mass)})
     if args.model is None:

@@ -88,16 +88,14 @@ def combine_models(
     relation2 = model2.constraining_relation(message2)
     if not relation1.decoded or not relation2.decoded:
         raise TotalConflict("one of the messages cannot be produced by any code")
-    weight1, _ = model1._possible_code_weights(relation1)
-    weight2, _ = model2._possible_code_weights(relation2)
     codes2 = [
-        (weight2[name], tuple(mask.bits for mask in plaintexts))
+        (relation2.weights[name], tuple(mask.bits for mask in plaintexts))
         for name, plaintexts in relation2.decoded.items()
     ]
     pooled: dict[int, int] = {}
     conflict = 0
     for name1, plaintexts1 in relation1.decoded.items():
-        w1 = weight1[name1]
+        w1 = relation1.weights[name1]
         decoded1 = tuple(mask.bits for mask in plaintexts1)
         for w2, decoded2 in codes2:
             compat = 0  # empty intersections add nothing to the union
@@ -108,7 +106,7 @@ def combine_models(
                 pooled[compat] = pooled.get(compat, 0) + w1 * w2
             else:
                 conflict += w1 * w2
-    total = sum(weight1.values()) * sum(weight2.values())
+    total = sum(relation1.weights.values()) * sum(relation2.weights.values())
     return _renormalized(
         model1.frame, pooled, conflict, total, "the two messages rule out every code pair"
     )

@@ -11,9 +11,11 @@ encoded.
 
 The relations are built once per model, in one lazy pass over the codebooks
 that serves every message, and they are the one place the encoding is read
-for an observed message.  The belief route here and the Bayesian route in
-:mod:`beliefkit.bayes` read the same relation and the same integer code
-weights; they differ only in the total they divide by.
+for an observed message.  Each :class:`ConstrainingRelation` is one record:
+what every possible code decodes the message to, and each such code's
+prior probability as an integer weight over one common denominator.  The
+belief route here and the Bayesian route in :mod:`beliefkit.bayes` read
+the same record; they differ only in the total they divide the weights by.
 """
 
 from __future__ import annotations
@@ -57,23 +59,24 @@ class Code:
 
 @dataclass(frozen=True)
 class ConstrainingRelation:
-    """The (code name, plaintext) pairs consistent with an observed message."""
+    """The codes and plaintexts consistent with an observed message.
 
-    pairs: tuple[tuple[str, SubsetMask], ...]
+    ``decoded`` maps each possible code's name, in model order, to the
+    plaintexts it decodes the message to, in the model's ``plaintexts``
+    order; ``weights`` gives each such code's prior probability as an integer
+    over ``denominator``, the lcm of those probabilities' denominators.  A model
+    shares its records with every reader; like ``Code.codebook``, they must not
+    be mutated.
+    """
 
-    @cached_property
-    def decoded(self) -> dict[str, tuple[SubsetMask, ...]]:
-        """Code name -> the plaintexts it decodes the message to, model order.
+    decoded: Mapping[str, tuple[SubsetMask, ...]] = field(hash=False)
+    weights: Mapping[str, int] = field(hash=False)
+    denominator: int
 
-        In a model's relation, codes come in model order and each code's
-        plaintexts in the order of the model's ``plaintexts``.  The dict is
-        built once and shared by every reader of the relation; like
-        ``Code.codebook``, it must not be mutated.
-        """
-        grouped: dict[str, list[SubsetMask]] = {}
-        for name, mask in self.pairs:
-            grouped.setdefault(name, []).append(mask)
-        return {name: tuple(masks) for name, masks in grouped.items()}
+    @property
+    def pairs(self) -> tuple[tuple[str, SubsetMask], ...]:
+        """Every (code name, plaintext) pair of the relation, in ``decoded`` order."""
+        return tuple((name, mask) for name, masks in self.decoded.items() for mask in masks)
 
     def possible_codes(self) -> tuple[str, ...]:
         """Names of codes that could have produced the message, model order."""
@@ -174,11 +177,23 @@ class EvidenceModel:
 
     @cached_property
     def _relations(self) -> dict[str, ConstrainingRelation]:
-        pairs: dict[str, list[tuple[str, SubsetMask]]] = {m: [] for m in self.messages}
+        grouped: dict[str, dict[str, list[SubsetMask]]] = {m: {} for m in self.messages}
         for code in self.codes:
             for mask in self.plaintexts:
-                pairs[code.codebook[mask]].append((code.name, mask))
-        return {message: ConstrainingRelation(tuple(p)) for message, p in pairs.items()}
+                grouped[code.codebook[mask]].setdefault(code.name, []).append(mask)
+        prob = {code.name: code.prob for code in self.codes}
+        relations = {}
+        for message, by_name in grouped.items():
+            denominator = math.lcm(*(prob[name].denominator for name in by_name))
+            relations[message] = ConstrainingRelation(
+                {name: tuple(masks) for name, masks in by_name.items()},
+                {
+                    name: prob[name].numerator * (denominator // prob[name].denominator)
+                    for name in by_name
+                },
+                denominator,
+            )
+        return relations
 
     def derive_mass(self, message: str) -> MassFunction:
         """Belief function induced by observing `message`.
@@ -191,25 +206,8 @@ class EvidenceModel:
         relation = self.constraining_relation(message)
         if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
-        weights, _ = self._possible_code_weights(relation)
         pooled: dict[int, int] = {}
         for name, masks in relation.decoded.items():
             bits = reduce(or_, [mask.bits for mask in masks])
-            pooled[bits] = pooled.get(bits, 0) + weights[name]
-        return MassFunction._from_numerators(self.frame, sum(weights.values()), pooled)
-
-    def _possible_code_weights(
-        self, relation: ConstrainingRelation
-    ) -> tuple[dict[str, int], int]:
-        """Integer weights of the codes of `relation`, model order, and their denominator.
-
-        A code's prior probability is its weight over the denominator, the
-        common denominator of the possible codes' probabilities.  The belief
-        route divides the weights by their sum instead, which gives
-        P(code | the code is possible); the Bayesian route sums them per
-        plaintext over the denominator, which gives the likelihoods.
-        """
-        prob = {code.name: code.prob for code in self.codes if code.name in relation.decoded}
-        denominator = math.lcm(*(p.denominator for p in prob.values()))
-        weights = {name: p.numerator * (denominator // p.denominator) for name, p in prob.items()}
-        return weights, denominator
+            pooled[bits] = pooled.get(bits, 0) + relation.weights[name]
+        return MassFunction._from_numerators(self.frame, sum(relation.weights.values()), pooled)

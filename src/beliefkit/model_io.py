@@ -19,8 +19,9 @@ from pathlib import Path
 
 from .errors import ModelSyntaxError, UnknownLabel
 from .frames import Frame, SubsetMask
-from .mass import format_rational, parse_rational
+from .mass import MAX_INVERSION_FRAME, format_rational, parse_rational
 from .evidence import Code, EvidenceModel
+from .bayes import PriorSpec
 
 _MODEL_FIELDS = ("frame", "messages", "plaintexts", "codes", "observed")
 _CODE_FIELDS = ("name", "prob", "map")
@@ -88,6 +89,8 @@ def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask,
             raise _fail(entry, "expected a rational string such as \"2/3\"")
         try:
             mask = frame.parse_subset(subset_text)
+            if mask in table:
+                raise ValueError(f"duplicate subset {mask}")
             table[mask] = parse_rational(rational)
         except ValueError as err:
             raise _fail(entry, str(err)) from None
@@ -208,9 +211,9 @@ def validate_model(model: EvidenceModel) -> list[str]:
                     f"code {code.name} non-injective on {message}: {listed}"
                 )
     for message, relation in relations.items():
-        if not relation.pairs:
+        if not relation.decoded:
             findings.append(f"message {message} emitted by no code")
-    if model.observed is not None and not relations[model.observed].pairs:
+    if model.observed is not None and not relations[model.observed].decoded:
         findings.append(
             f"observed message {model.observed} cannot be produced by any code"
         )
@@ -221,13 +224,17 @@ def parse_belief_table(text: str) -> tuple[Frame, dict[SubsetMask, Fraction]]:
     """Parse a dense belief table document: ``{"frame": [...], "belief": {...}}``."""
     doc = _decode_object(text, ("frame", "belief"), ("frame", "belief"))
     frame = _parse_frame(doc["frame"])
+    if frame.size > MAX_INVERSION_FRAME:
+        raise _fail(
+            "frame",
+            f"belief inversion is limited to frames of size "
+            f"{MAX_INVERSION_FRAME} or smaller, got {frame.size}",
+        )
     return frame, _rational_table(frame, doc["belief"], "belief")
 
 
-def parse_prior_table(text: str, frame: Frame):
+def parse_prior_table(text: str, frame: Frame) -> PriorSpec:
     """Parse a prior weights document: ``{"weights": {"{no}": "1/2", ...}}``."""
-    from .bayes import PriorSpec
-
     doc = _decode_json(text)
     if not isinstance(doc, dict) or set(doc) != {"weights"}:
         raise ModelSyntaxError('document must be a JSON object with a "weights" field')

@@ -85,6 +85,10 @@ class TestPriorSpec:
         prior = PriorSpec.uniform(example1.plaintexts)
         assert all(v == F(1, 3) for v in prior.weights.values())
 
+    def test_uniform_over_empty_domain(self):
+        with pytest.raises(InvalidPrior, match="at least one plaintext"):
+            PriorSpec.uniform(())
+
     def test_from_odds(self):
         prior = PriorSpec.from_odds(F(2), NO, TOP)
         assert prior.weights == {NO: F(2, 3), TOP: F(1, 3)}

@@ -274,6 +274,30 @@ class TestFromBelief:
         assert status == 1
         assert "12" in err
 
+    def test_oversized_frame_reported_before_entries(self, capsys, tmp_path):
+        labels = [f"x{i}" for i in range(13)]
+        path = self.belief_doc(tmp_path, labels, {"x0": "1"})
+        status, out, err = run(capsys, "derive", "--from-belief", path)
+        assert status == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: ModelSyntaxError: frame: belief inversion is limited to "
+            "frames of size 12 or smaller, got 13"
+        ]
+
+    def test_duplicate_subset_rejected(self, capsys, tmp_path):
+        path = self.belief_doc(
+            tmp_path,
+            ["a", "b"],
+            {"{}": "0", "{a}": "0", "{b}": "0", "{a,b}": "1/2", "{b,a}": "1"},
+        )
+        status, out, err = run(capsys, "derive", "--from-belief", path)
+        assert status == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: ModelSyntaxError: belief['{b,a}']: duplicate subset {a,b}"
+        ]
+
     def test_sparse_table_rejected(self, capsys, tmp_path):
         path = self.belief_doc(tmp_path, ["yes", "no"], {"{yes,no}": "1"})
         status, _, err = run(capsys, "derive", "--from-belief", path)
@@ -437,3 +461,18 @@ class TestPriorFile:
         assert "posterior({no}) = 4/5" in out
         assert "posterior({yes,no}) = 1/5" in out
         assert "prior({yes}) = 0" in out
+
+    def test_duplicate_subset_rejected(self, capsys, tmp_path, example1_path):
+        path = tmp_path / "prior.json"
+        path.write_text(
+            json.dumps({"weights": {"{no}": "1/2", "{yes,no}": "1/2", "{no,yes}": "1/2"}}),
+            encoding="utf-8",
+        )
+        status, out, err = run(
+            capsys, "bayes", example1_path, "--prior-file", str(path)
+        )
+        assert status == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: ModelSyntaxError: weights['{no,yes}']: duplicate subset {yes,no}"
+        ]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -7,7 +8,6 @@ import pytest
 from beliefkit import (
     Code,
     CodeNotPossible,
-    ConstrainingRelation,
     DuplicateCodeName,
     EvidenceModel,
     Frame,
@@ -21,8 +21,10 @@ from beliefkit import (
 from helpers import (
     MANY_CODES,
     as_set_dict,
+    mixed_fractions,
     oracle_derive,
     producible_message,
+    random_fractions,
     random_frame,
     random_model,
 )
@@ -70,6 +72,31 @@ class TestConstrainingRelation:
             "BANANA"
         )
 
+    def test_record_matches_codebooks_and_code_probabilities(self):
+        rng = random.Random(60606)
+        for i in range(120):
+            fractions = mixed_fractions if i % 2 else random_fractions
+            model = random_model(rng, random_frame(rng, 4), max_codes=6, fractions=fractions)
+            prob = {code.name: code.prob for code in model.codes}
+            for message in model.messages:
+                relation = model.constraining_relation(message)
+                expected = tuple(
+                    (code.name, mask)
+                    for code in model.codes
+                    for mask in model.plaintexts
+                    if code.codebook[mask] == message
+                )
+                flattened = tuple(
+                    (name, mask) for name, masks in relation.decoded.items() for mask in masks
+                )
+                assert relation.pairs == flattened == expected
+                assert list(relation.weights) == list(relation.decoded)
+                for name, weight in relation.weights.items():
+                    assert F(weight, relation.denominator) == prob[name]
+                assert relation.denominator == math.lcm(
+                    *(prob[name].denominator for name in relation.decoded)
+                )
+
 
 class TestPossibleCodes:
     def test_banana_keeps_all_codes(self, example1):
@@ -81,7 +108,13 @@ class TestPossibleCodes:
         assert relation.possible_codes() == ("s1", "s2")
 
     def test_empty_relation(self):
-        assert ConstrainingRelation(()).possible_codes() == ()
+        frame = Frame(("a", "b"))
+        a = frame.subset(["a"])
+        model = EvidenceModel(frame, ("q0", "q1"), (a,), (Code("s", F(1), {a: "q0"}),))
+        relation = model.constraining_relation("q1")
+        assert relation.possible_codes() == ()
+        assert relation.pairs == ()
+        assert relation.weights == {}
 
 
 class TestCompatibilitySets:

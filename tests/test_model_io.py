@@ -230,6 +230,17 @@ class TestBeliefTable:
         with pytest.raises(ModelSyntaxError):
             parse_belief_table(doc)
 
+    def test_duplicate_subset_rejected(self):
+        text = json.dumps(
+            {
+                "frame": ["a", "b"],
+                "belief": {"{}": "0", "{a}": "0", "{b}": "0", "{a,b}": "1/2", "{b,a}": "1"},
+            }
+        )
+        with pytest.raises(ModelSyntaxError) as info:
+            parse_belief_table(text)
+        assert str(info.value) == "belief['{b,a}']: duplicate subset {a,b}"
+
 
 class TestPriorTable:
     def test_parse(self):
@@ -245,6 +256,12 @@ class TestPriorTable:
     def test_rejects_unknown_label(self):
         with pytest.raises(UnknownLabel):
             parse_prior_table('{"weights": {"{maybe}": "1"}}', YN)
+
+    def test_duplicate_subset_rejected(self):
+        text = '{"weights": {"{no}": "1/2", "{yes,no}": "1/2", "{no,yes}": "1/2"}}'
+        with pytest.raises(ModelSyntaxError) as info:
+            parse_prior_table(text, YN)
+        assert str(info.value) == "weights['{no,yes}']: duplicate subset {yes,no}"
 
     def test_rejects_shape(self):
         with pytest.raises(ModelSyntaxError):
