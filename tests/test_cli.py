@@ -441,9 +441,109 @@ class TestExitCodes:
         assert status == 1
         assert "TotalConflict" in err
 
-    def test_help_exits_zero(self, capsys):
-        assert run(capsys, "--help")[0] == 0
-        assert run(capsys, "derive", "--help")[0] == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["derive", "--bogus"],
+            ["validate", "M", "--message", "X"],
+            ["simulate", "M", "--samples", "10"],
+            ["simulate", "M", "--samples", "0", "--seed", "1"],
+            ["simulate", "M", "--samples", "10", "--seed", "x"],
+            ["bayes", "M", "--odds", "x", "--pair", "{no}", "T"],
+            ["factors", "M", "--pair", "no", "T"],
+            ["derive", "M", "--format", "xml"],
+        ],
+        ids=[
+            "no-argv", "unknown-command", "unknown-option", "option-of-another-command",
+            "missing-required", "zero-samples", "non-integer-seed", "bad-rational",
+            "bad-subset", "bad-choice",
+        ],
+    )
+    def test_argparse_errors_are_one_usage_line(self, capsys, example1_path, argv):
+        argv = [example1_path if token == "M" else token for token in argv]
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        # nothing carries over to the next call in the same process
+        assert run(capsys, "derive", example1_path, "--message", "BANANA") == (
+            0, DERIVE_EXAMPLE1, ""
+        )
+
+    def test_line_break_in_argument_stays_one_line(self, capsys, example1_path):
+        status, out, err = run(capsys, "derive", example1_path, "b\nc")
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err == "usage error: unrecognized arguments: b\\nc\n"
+
+    def test_line_break_in_label_stays_one_line(self, capsys, tmp_path):
+        doc = {
+            "frame": ["a"],
+            "messages": ["A\nB", "C\u2028D"],
+            "plaintexts": [["a"]],
+            "codes": [{"name": "s", "prob": "1", "map": {"{a}": "A\nB"}}],
+        }
+        path = tmp_path / "multiline.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out, err = run(capsys, "derive", str(path), "--message", "X")
+        assert status == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: UnknownMessage: ")
+        assert "A\\nB, C\\u2028D" in err
+
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            ([], "usage: beliefkit [-h] command ..."),
+            (
+                ["derive"],
+                "usage: beliefkit derive [-h] [--format {text,machine}] [--message MESSAGE] "
+                "[--from-belief FILE] [model]",
+            ),
+            (
+                ["combine"],
+                "usage: beliefkit combine [-h] [--format {text,machine}] [--message1 MESSAGE1] "
+                "[--message2 MESSAGE2] [--method {direct,product}] model1 model2",
+            ),
+            (
+                ["bayes"],
+                "usage: beliefkit bayes [-h] [--format {text,machine}] [--message MESSAGE] "
+                "[--prior {uniform}] [--prior-file FILE] [--odds A] [--pair FIRST SECOND] model",
+            ),
+            (
+                ["factors"],
+                "usage: beliefkit factors [-h] [--format {text,machine}] [--message MESSAGE] "
+                "--pair FIRST SECOND model",
+            ),
+            (
+                ["williams"],
+                "usage: beliefkit williams [-h] [--format {text,machine}] [--message MESSAGE] "
+                "model",
+            ),
+            (
+                ["simulate"],
+                "usage: beliefkit simulate [-h] [--format {text,machine}] [--message MESSAGE] "
+                "--samples SAMPLES --seed SEED [--prior {uniform}] [--prior-file FILE] model",
+            ),
+            (
+                ["validate"],
+                "usage: beliefkit validate [-h] [--format {text,machine}] model",
+            ),
+        ],
+        ids=["beliefkit", "derive", "combine", "bayes", "factors", "williams", "simulate",
+             "validate"],
+    )
+    def test_help_exits_zero(self, capsys, monkeypatch, argv, usage):
+        monkeypatch.setenv("COLUMNS", "200")
+        status, out, err = run(capsys, *argv, "--help")
+        assert status == 0
+        assert err == ""
+        assert out.splitlines()[0] == usage
 
 
 class TestPriorFile:
