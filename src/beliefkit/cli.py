@@ -1,17 +1,19 @@
 """Command-line surface: derive, combine, bayes, factors, williams, simulate, validate.
 
-One subcommand per invocation.  Reports go to standard output, diagnostics
-to standard error.  Every diagnostic is exactly one line, with any line break
-in it escaped: ``usage error: ...`` with exit status 2, or
-``error: <Kind>: ...`` with exit status 1 for model and domain errors
-(``error: [Errno ...] ...`` for a file that cannot be opened).  Output is
-deterministic for identical argv and files (simulation requires an explicit
-``--seed``).
+One subcommand per invocation, its options spelled in full.  Reports go to
+standard output, diagnostics to standard error.  Every diagnostic is exactly
+one line, with any line break in it escaped: ``usage error: ...`` with exit
+status 2, or ``error: <Kind>: ...`` with exit status 1 for model and domain
+errors (``error: [Errno ...] ...`` for a file that cannot be opened).  Output
+is deterministic for identical argv and files (simulation requires an explicit
+``--seed``).  One parser serves every ``run_command`` call in a process: it is
+built on first use and keeps no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -68,13 +70,15 @@ def _count_arg(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="beliefkit",
         description="Derive, combine, and Bayesian-check belief functions "
         "over coded-message evidence models.",
+        allow_abbrev=False,
     )
-    common = _ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument(
         "--format",
         choices=("text", "machine"),
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(name, run, help):
-        subparser = sub.add_parser(name, parents=[common], help=help)
+        subparser = sub.add_parser(name, parents=[common], help=help, allow_abbrev=False)
         subparser.set_defaults(run=run)
         return subparser
 

@@ -122,6 +122,7 @@ def parse_model(text: str) -> EvidenceModel:
     if not isinstance(doc["codes"], list):
         raise _fail("codes", "expected a list of code records")
     codes = []
+    masks: dict[str, SubsetMask] = {}  # every code maps the same plaintexts: parse each key once
     for i, record in enumerate(doc["codes"]):
         field = f"codes[{i}]"
         if not isinstance(record, dict):
@@ -148,12 +149,14 @@ def parse_model(text: str) -> EvidenceModel:
             entry = f"{field}.map[{subset_text!r}]"
             if not isinstance(label, str):
                 raise _fail(entry, "expected a message label string")
-            try:
-                mask = frame.parse_subset(subset_text)
-            except ValueError as err:
-                raise _fail(entry, str(err)) from None
-            except UnknownLabel as err:
-                raise UnknownLabel(f"{entry}: {err}") from None
+            mask = masks.get(subset_text)
+            if mask is None:
+                try:
+                    mask = masks[subset_text] = frame.parse_subset(subset_text)
+                except ValueError as err:
+                    raise _fail(entry, str(err)) from None
+                except UnknownLabel as err:
+                    raise UnknownLabel(f"{entry}: {err}") from None
             if len(mask) == 0:
                 raise _fail(entry, "the empty set is not a valid plaintext")
             if mask in codebook:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefkit import bundled_model_path
+from beliefkit import cli
 from beliefkit.cli import run_command
 
 SEED = "20250808"
@@ -88,6 +92,21 @@ freq({yes}) = 0.000000
 freq({no}) = 0.662975
 freq({yes,no}) = 0.337025
 """
+
+
+# argparse's own errors; "M" stands for the first bundled model's path
+ARGPARSE_ERRORS = {
+    "no-argv": [],
+    "unknown-command": ["frobnicate"],
+    "unknown-option": ["derive", "--bogus"],
+    "option-of-another-command": ["validate", "M", "--message", "X"],
+    "missing-required": ["simulate", "M", "--samples", "10"],
+    "zero-samples": ["simulate", "M", "--samples", "0", "--seed", "1"],
+    "non-integer-seed": ["simulate", "M", "--samples", "10", "--seed", "x"],
+    "bad-rational": ["bayes", "M", "--odds", "x", "--pair", "{no}", "T"],
+    "bad-subset": ["factors", "M", "--pair", "no", "T"],
+    "bad-choice": ["derive", "M", "--format", "xml"],
+}
 
 
 def run(capsys, *argv):
@@ -442,24 +461,7 @@ class TestExitCodes:
         assert "TotalConflict" in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["frobnicate"],
-            ["derive", "--bogus"],
-            ["validate", "M", "--message", "X"],
-            ["simulate", "M", "--samples", "10"],
-            ["simulate", "M", "--samples", "0", "--seed", "1"],
-            ["simulate", "M", "--samples", "10", "--seed", "x"],
-            ["bayes", "M", "--odds", "x", "--pair", "{no}", "T"],
-            ["factors", "M", "--pair", "no", "T"],
-            ["derive", "M", "--format", "xml"],
-        ],
-        ids=[
-            "no-argv", "unknown-command", "unknown-option", "option-of-another-command",
-            "missing-required", "zero-samples", "non-integer-seed", "bad-rational",
-            "bad-subset", "bad-choice",
-        ],
+        "argv", list(ARGPARSE_ERRORS.values()), ids=list(ARGPARSE_ERRORS)
     )
     def test_argparse_errors_are_one_usage_line(self, capsys, example1_path, argv):
         argv = [example1_path if token == "M" else token for token in argv]
@@ -576,3 +578,160 @@ class TestPriorFile:
         assert err.splitlines() == [
             "error: ModelSyntaxError: weights['{no,yes}']: duplicate subset {yes,no}"
         ]
+
+
+# every golden report above, by argv (derive's also with "--message=BANANA");
+# "M" and "M2" stand for the bundled models' paths
+GOLDENS = [
+    (["derive", "M", "--message", "BANANA"], DERIVE_EXAMPLE1),
+    (["derive", "M"], DERIVE_EXAMPLE1),
+    (["derive", "M", "--message=BANANA"], DERIVE_EXAMPLE1),
+    (["factors", "M2", "--message", "BANANA", "--pair", "{no}", "T"], FACTORS_EXAMPLE2),
+    (["williams", "M2"], WILLIAMS_EXAMPLE2),
+    (["bayes", "M2", "--odds", "2", "--pair", "{no}", "T"], BAYES_ODDS_EXAMPLE2),
+    (["bayes", "M", "--prior", "uniform"], BAYES_UNIFORM_EXAMPLE1),
+    (["combine", "M", "M"], COMBINE_EXAMPLE1_TWICE),
+    (["simulate", "M", "--samples", "100000", "--seed", SEED], SIMULATE_EXAMPLE1),
+    (["validate", "M2"], "warning: code s1' non-injective on BANANA: {no}, {yes,no}\n"),
+    (["validate", "M"], "no findings\n"),
+]
+
+COMMANDS = ["derive", "combine", "bayes", "factors", "williams", "simulate", "validate"]
+
+
+def with_paths(argv, example1_path, example2_path):
+    return [{"M": example1_path, "M2": example2_path}.get(token, token) for token in argv]
+
+
+class TestOneParserPerProcess:
+    def test_no_state_carries_over_between_calls(
+        self, capsys, monkeypatch, example1_path, example2_path
+    ):
+        calls = (
+            [(argv, "80") for argv, _ in GOLDENS]
+            + [(argv, "80") for argv in ARGPARSE_ERRORS.values()]
+            + [(["derive", "M", "--message", "KIWI"], "80")]
+            + [
+                (command + ["--help"], columns)
+                for command in [[]] + [[name] for name in COMMANDS]
+                for columns in ("80", "200")
+            ]
+        )
+
+        def run_all(order):
+            results = {}
+            for i in order:
+                argv, columns = calls[i]
+                monkeypatch.setenv("COLUMNS", columns)
+                results[i] = run(capsys, *with_paths(argv, example1_path, example2_path))
+            return results
+
+        with monkeypatch.context() as patch:  # a parser of its own for every call
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = run_all(range(len(calls)))
+        forward = run_all(range(len(calls)))
+        backward = run_all(reversed(range(len(calls))))
+        assert forward == backward == fresh
+
+        for i, (_, golden) in enumerate(GOLDENS):
+            assert forward[i] == (0, golden, "")
+        statuses = [forward[i][0] for i in range(len(GOLDENS), len(calls))]
+        helps = 2 * (1 + len(COMMANDS))
+        assert statuses == [2] * len(ARGPARSE_ERRORS) + [1] + [0] * helps
+        # help is formatted when asked for, at the width of that moment
+        derive_help = [forward[calls.index((["derive", "--help"], c))] for c in ("80", "200")]
+        assert derive_help[0] != derive_help[1]
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "abbreviated,full",
+        [
+            (["derive", "M", "--mess", "BANANA"], ["derive", "M", "--message", "BANANA"]),
+            (["derive", "M", "--mess=BANANA"], ["derive", "M", "--message=BANANA"]),
+            (["derive", "M", "--form", "machine"], ["derive", "M", "--format", "machine"]),
+            (
+                ["combine", "M", "M", "--meth", "product"],
+                ["combine", "M", "M", "--method", "product"],
+            ),
+            (
+                ["simulate", "M", "--samp", "10", "--seed", "1"],
+                ["simulate", "M", "--samples", "10", "--seed", "1"],
+            ),
+            (["derive", "M", "--he"], ["derive", "M", "--help"]),
+            (["--he"], ["--help"]),
+        ],
+        ids=["message", "message=", "format", "method", "samples", "help", "top-level-help"],
+    )
+    def test_long_options_are_spelled_in_full(
+        self, capsys, example1_path, example2_path, abbreviated, full
+    ):
+        status, out, err = run(capsys, *with_paths(abbreviated, example1_path, example2_path))
+        assert (status, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        status, out, err = run(capsys, *with_paths(full, example1_path, example2_path))
+        assert (status, err) == (0, "")
+        assert out != ""
+
+
+OPTIONS = (
+    "-h", "--help", "--format", "--message", "--from-belief", "--message1", "--message2",
+    "--method", "--prior", "--prior-file", "--odds", "--pair", "--samples", "--seed",
+)
+VALUES = ("BANANA", "KIWI", "{no}", "{yes,no}", "T", "uniform", "machine", "product", "2", "10")
+# file arguments, replaced by real paths when the argv runs
+FILES = ("M", "M2", "MISSING", "NON_UTF8")
+# Arbitrary text is kept to five characters, which bounds any --samples it spells
+# at 99999 trials; it has no NUL, which no process argument can hold.
+TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=5)
+PREFIXES = sorted({option[:n] for option in OPTIONS for n in range(2, len(option) + 1)})
+TOKENS = st.one_of(
+    st.sampled_from(COMMANDS),
+    st.sampled_from(PREFIXES),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS), st.sampled_from(VALUES) | TEXT),
+    st.sampled_from(FILES),
+    st.sampled_from(VALUES),
+    TEXT,
+)
+ARGVS = st.one_of(
+    st.builds(
+        lambda command, file, rest: [command, file, *rest],
+        st.sampled_from(COMMANDS),
+        st.sampled_from(FILES),
+        st.lists(TOKENS, max_size=6),
+    ),
+    st.builds(
+        lambda command, file, pairs: [command, file, *(t for pair in pairs for t in pair)],
+        st.sampled_from(COMMANDS),
+        st.sampled_from(FILES),
+        st.lists(st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES)), max_size=3),
+    ),
+    st.lists(TOKENS, max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, example1_path, example2_path):
+    folder = tmp_path_factory.mktemp("argv")
+    (folder / "non-utf8.json").write_bytes(b"\xff\xfe{")
+    return {
+        "M": example1_path,
+        "M2": example2_path,
+        "MISSING": str(folder / "missing.json"),
+        "NON_UTF8": str(folder / "non-utf8.json"),
+    }
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=ARGVS)
+def test_every_argv_ends_in_a_status_and_at_most_one_diagnostic_line(argv_files, argv):
+    argv = [argv_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(argv)
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

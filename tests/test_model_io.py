@@ -53,6 +53,12 @@ def spy_document(**overrides):
     return json.dumps(doc)
 
 
+def spell_full_set_no_yes(doc):
+    """Key the first code's full-frame entry as "{no,yes}" instead of "{yes,no}"."""
+    book = doc["codes"][0]["map"]
+    book["{no,yes}"] = book.pop("{yes,no}")
+
+
 class TestParseModel:
     def test_bundled_spy_model(self, example1):
         assert example1.frame == YN
@@ -127,6 +133,47 @@ class TestParseModel:
         with pytest.raises(ModelSyntaxError) as err:
             parse_model(json.dumps(doc))
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key,label,first_book,error,message",
+        [
+            ("{maybe}", "APPLE", None, UnknownLabel,
+             "codes[1].map['{maybe}']: label 'maybe' is not in frame {yes,no}"),
+            ("yes", "APPLE", None, ModelSyntaxError,
+             "codes[1].map['yes']: subset must be written in braces, got 'yes'"),
+            ("{}", "APPLE", None, ModelSyntaxError,
+             "codes[1].map['{}']: the empty set is not a valid plaintext"),
+            ("{no}", 3, None, ModelSyntaxError,
+             "codes[1].map['{no}']: expected a message label string"),
+            ("{no,yes}", "APPLE", None, ModelSyntaxError,
+             "codes[1].map['{no,yes}']: duplicate plaintext {yes,no}"),
+            # the first code already read "{no,yes}": a key seen before is still checked
+            ("{no,yes}", "APPLE", spell_full_set_no_yes, ModelSyntaxError,
+             "codes[1].map['{no,yes}']: duplicate plaintext {yes,no}"),
+        ],
+        ids=["unknown-label", "no-braces", "empty-set", "label-type", "duplicate",
+             "duplicate-of-a-key-read-before"],
+    )
+    def test_later_code_map_errors_name_their_entry(
+        self, key, label, first_book, error, message
+    ):
+        doc = json.loads(spy_document())
+        if first_book is not None:
+            first_book(doc)
+        doc["codes"][1]["map"][key] = label
+        with pytest.raises(error) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_keys_shared_by_codes_parse_to_equal_masks(self):
+        doc = json.loads(spy_document())
+        spell_full_set_no_yes(doc)
+        model = parse_model(json.dumps(doc))
+        full = YN.subset(["yes", "no"])
+        assert [code.codebook[full] for code in model.codes] == ["BANANA", "CHERRY"]
+        assert [list(code.codebook) for code in model.codes] == [
+            [YN.subset(["yes"]), YN.subset(["no"]), full]
+        ] * 2
 
 
 class TestSerializeModel:
