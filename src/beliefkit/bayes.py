@@ -10,17 +10,24 @@ each possible code decodes to and its integer weight over a common
 denominator.  The belief route divides the weights by their sum, this one
 sums them per plaintext over the denominator.  Everything
 here is exact rational arithmetic except :func:`simulate`, which is the
-Monte Carlo cross-check of the generative story.
+Monte Carlo cross-check of the generative story.  It draws the seeded
+stream in fixed-size chunks and makes whole-chunk passes over each: every
+draw is placed among precomputed cuts by a bisection, each trial's
+(plaintext, code) pair is tallied as one integer key, and the model's
+table is read once per distinct key to decide acceptance.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat, starmap
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     FrameMismatch,
@@ -36,6 +43,8 @@ from .mass import MassFunction, exact, format_rational
 from .evidence import EvidenceModel
 
 SIMULATION_ALGORITHM = "mt19937"
+# Trials drawn per pass of simulate(); bounds the draws held in memory at once.
+_SIMULATION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -223,34 +232,58 @@ def simulate(
     `message`, and tabulates plaintext frequencies among kept trials.  The
     trial stream is fully determined by `seed` (Mersenne Twister).
     """
-    decoded = model.constraining_relation(message).decoded
+    sent = model._message_index(message)
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     _check_prior_domain(model, prior)
     domain = model.plaintexts
-    # Trials index the domain and the codes: sends[c] holds the positions in
-    # the domain of the plaintexts that code c decodes the message to.
-    position = {mask.bits: p for p, mask in enumerate(domain)}
-    sends = [{position[mask.bits] for mask in decoded.get(code.name, ())} for code in model.codes]
     plaintext_pool = [p for p, mask in enumerate(domain) if prior.weight_of(mask) > 0]
-    plaintext_cum = list(accumulate(float(prior.weight_of(domain[p])) for p in plaintext_pool))
-    code_cum = list(accumulate(float(code.prob) for code in model.codes))
-    rng = random.Random(seed)
+    plaintext_cuts = _cuts(float(prior.weight_of(domain[p])) for p in plaintext_pool)
+    code_cuts = _cuts(float(code.prob) for code in model.codes)
+    codes = len(model.codes)
+    draw = random.Random(seed).random
+    # Trial t picks its plaintext with draw 2t and its code with draw 2t + 1,
+    # and is tallied as one key: j * codes + c, with j indexing plaintext_pool.
+    tally: Counter[int] = Counter()
+    for start in range(0, samples, _SIMULATION_CHUNK):
+        draws = list(starmap(draw, repeat((), 2 * min(_SIMULATION_CHUNK, samples - start))))
+        picked = map(bisect_right, repeat(plaintext_cuts), draws[0::2])
+        chosen = map(bisect_right, repeat(code_cuts), draws[1::2])
+        tally.update(map(add, map(mul, picked, repeat(codes)), chosen))
     counts = [0] * len(domain)
-    accepted = 0
-    last_plaintext = len(plaintext_pool) - 1
-    last_code = len(code_cum) - 1
-    for _ in range(samples):
-        # min() guards the rare float round-up of u onto the last boundary
-        u = rng.random() * plaintext_cum[-1]
-        p = plaintext_pool[min(bisect_right(plaintext_cum, u), last_plaintext)]
-        u = rng.random() * code_cum[-1]
-        if p in sends[min(bisect_right(code_cum, u), last_code)]:
-            counts[p] += 1
-            accepted += 1
+    rows = model._rows
+    for key, count in tally.items():
+        j, c = divmod(key, codes)
+        p = plaintext_pool[j]
+        if rows[c][p] == sent:
+            counts[p] += count
+    accepted = sum(counts)
     if accepted == 0:
         raise NoAcceptedTrials(
             f"none of the {samples} trials produced message {message!r}"
         )
     frequencies = {mask: count / accepted for mask, count in zip(domain, counts)}
     return SimulationReport(frequencies, accepted, samples, seed)
+
+
+def _cuts(weights: Iterable[float]) -> list[float]:
+    """Where a draw u in [0, 1) moves past each cumulative weight but the last.
+
+    Cut i is the least float u with ``u * total >= cum[i]``, where ``cum`` is
+    the running sum of `weights` and ``total`` its last entry.  Float rounding
+    keeps ``u * total`` monotone in u, so ``bisect_right(cuts, u)`` is
+    ``min(bisect_right(cum, u * total), len(cum) - 1)`` for every u: the pick
+    of the one-trial-at-a-time search, the rare round-up of ``u * total``
+    onto the last boundary included, with no product per draw.
+    """
+    cum = list(accumulate(weights))
+    total = cum[-1]
+    cuts = []
+    for bound in cum[:-1]:
+        u = bound / total
+        while u * total >= bound:
+            u = math.nextafter(u, -math.inf)
+        while u * total < bound:
+            u = math.nextafter(u, math.inf)
+        cuts.append(u)
+    return cuts

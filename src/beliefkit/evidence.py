@@ -9,13 +9,17 @@ code distribution on the codes that could have produced the message, then
 pool each code's probability onto the union of plaintexts it may have
 encoded.
 
-The relations are built once per model, in one lazy pass over the codebooks
-that serves every message, and they are the one place the encoding is read
-for an observed message.  Each :class:`ConstrainingRelation` is one record:
-what every possible code decodes the message to, and each such code's
-prior probability as an integer weight over one common denominator.  The
-belief route here and the Bayesian route in :mod:`beliefkit.bayes` read
-the same record; they differ only in the total they divide the weights by.
+A model holds its encoding as one table, built once by the constructor:
+one row per code, holding for each position in ``plaintexts`` the index of
+the message the code sends that plaintext to.  A code the document parser
+builds carries its row, checked as it was read, and builds its ``codebook``
+dict only when asked.  The relations are built once per model, in one lazy
+pass over the table that serves every message.  Each
+:class:`ConstrainingRelation` is one record: what every possible code
+decodes the message to, and each such code's prior probability as an
+integer weight over one common denominator.  The belief route here and the
+Bayesian route in :mod:`beliefkit.bayes` read the same record; they differ
+only in the total they divide the weights by.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CodeNotPossible,
@@ -40,13 +44,23 @@ from .frames import Frame, SubsetMask, _check_text
 from .mass import MassFunction, format_rational
 
 
+def _table_row(indices: Iterable[int], messages: Sequence[str]) -> Sequence[int]:
+    """A row of a model's table: a byte per plaintext while every message index fits."""
+    return bytes(indices) if len(messages) <= 256 else tuple(indices)
+
+
 @dataclass(frozen=True, eq=True)
 class Code:
-    """A named encoding of plaintext subsets into message labels."""
+    """A named encoding of plaintext subsets into message labels.
+
+    A code the document parser builds holds its row of the model's table
+    and builds ``codebook`` from it on first read.
+    """
 
     name: str
     prob: Fraction
     codebook: Mapping[SubsetMask, str] = field(hash=False)
+    _row = None  # (plaintexts, messages, row) of a code built from a table row
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -54,7 +68,30 @@ class Code:
         _check_text(self.name, "code name")
         if not isinstance(self.prob, Fraction):
             raise TypeError(f"code probability must be a Fraction, got {self.prob!r}")
-        object.__setattr__(self, "codebook", dict(self.codebook))
+        if self._row is None:
+            object.__setattr__(self, "codebook", dict(self.codebook))
+
+    @classmethod
+    def _from_row(
+        cls, name: str, prob: Fraction, plaintexts: tuple, messages: tuple, row: Sequence[int]
+    ) -> Code:
+        """The code sending ``plaintexts[p]`` to ``messages[row[p]]``."""
+        code = cls.__new__(cls)
+        object.__setattr__(code, "name", name)
+        object.__setattr__(code, "prob", prob)
+        object.__setattr__(code, "_row", (plaintexts, messages, row))
+        code.__post_init__()
+        return code
+
+    def __getattr__(self, attr: str):
+        # Only attributes the instance lacks get here: the codebook of a code
+        # built from a row, before its first read.
+        if attr != "codebook" or self._row is None:
+            raise AttributeError(attr)
+        plaintexts, messages, row = self._row
+        codebook = {mask: messages[m] for mask, m in zip(plaintexts, row)}
+        object.__setattr__(self, "codebook", codebook)
+        return codebook
 
 
 @dataclass(frozen=True)
@@ -92,7 +129,11 @@ class ConstrainingRelation:
 
 @dataclass(frozen=True)
 class EvidenceModel:
-    """A hypothesis frame, message alphabet, plaintext domain, and coded sources."""
+    """A hypothesis frame, message alphabet, plaintext domain, and coded sources.
+
+    The encoding is held as one table, built once: ``_rows[c][p]`` is the
+    index in ``messages`` of the label code ``c`` sends ``plaintexts[p]`` to.
+    """
 
     frame: Frame
     messages: tuple[str, ...]
@@ -119,78 +160,113 @@ class EvidenceModel:
                 raise FrameMismatch(f"plaintext {mask} does not belong to the frame")
             if len(mask) == 0:
                 raise ValueError("the empty set cannot be a plaintext")
-        if len(set(self.plaintexts)) != len(self.plaintexts):
+        # all of one frame: distinct bits are distinct plaintexts
+        if len({mask.bits for mask in self.plaintexts}) != len(self.plaintexts):
             raise ValueError("plaintext domain entries must be distinct")
         names = [code.name for code in self.codes]
         if len(set(names)) != len(names):
             raise DuplicateCodeName(f"code names must be distinct: {names}")
-        domain = set(self.plaintexts)
+        index = {message: m for m, message in enumerate(self.messages)}
+        rows = []
         for code in self.codes:
-            keys = set(code.codebook)
-            if keys != domain:
-                missing = sorted(str(m) for m in domain - keys)
-                extra = sorted(str(m) for m in keys - domain)
-                detail = []
-                if missing:
-                    detail.append(f"missing {', '.join(missing)}")
-                if extra:
-                    detail.append(f"extra {', '.join(extra)}")
-                raise IncompleteCodebook(
-                    f"code {code.name!r} must cover exactly the plaintext domain: "
-                    + "; ".join(detail)
-                )
-            for mask, label in code.codebook.items():
-                if label not in self.messages:
-                    raise UnknownMessage(
-                        f"code {code.name!r} maps {mask} to {label!r}, "
-                        f"which is not in the message alphabet"
-                    )
-            if code.prob <= 0:
+            rows.append(self._row_of(code, index))
+            if code.prob.numerator <= 0:
                 raise ProbabilitySumError(
                     f"code {code.name!r} has non-positive probability "
                     f"{format_rational(code.prob)}"
                 )
-        total = sum((code.prob for code in self.codes), Fraction(0))
-        if total != 1:
+        probs = [code.prob for code in self.codes]
+        denominator = math.lcm(*(prob.denominator for prob in probs))
+        total = sum(prob.numerator * (denominator // prob.denominator) for prob in probs)
+        if total != denominator:
             raise ProbabilitySumError(
-                f"code probabilities sum to {format_rational(total)}, expected 1"
+                f"code probabilities sum to {format_rational(Fraction(total, denominator))}, "
+                "expected 1"
             )
         if self.observed is not None and self.observed not in self.messages:
             raise UnknownMessage(
                 f"observed message {self.observed!r} is not in the alphabet"
             )
+        object.__setattr__(self, "_rows", tuple(rows))
 
-    def _require_message(self, message: str) -> None:
-        if message not in self.messages:
+    def _row_of(self, code: Code, index: dict[str, int]) -> tuple[int, ...]:
+        """The code's row of the table; raises its codebook's first fault."""
+        own = code._row
+        if own is not None and own[0] is self.plaintexts and own[1] is self.messages:
+            return own[2]  # read from a document against this domain and alphabet
+        codebook = code.codebook
+        try:
+            # keys in domain order, as builders write them, are read unhashed
+            if tuple(codebook) == self.plaintexts:
+                labels = codebook.values()
+            else:
+                labels = [codebook[mask] for mask in self.plaintexts]
+            row = _table_row(map(index.__getitem__, labels), self.messages)
+            if len(codebook) == len(self.plaintexts):
+                return row
+        except (KeyError, TypeError):
+            pass
+        keys, domain = set(codebook), set(self.plaintexts)
+        if keys != domain:
+            missing = sorted(str(m) for m in domain - keys)
+            extra = sorted(str(m) for m in keys - domain)
+            detail = []
+            if missing:
+                detail.append(f"missing {', '.join(missing)}")
+            if extra:
+                detail.append(f"extra {', '.join(extra)}")
+            raise IncompleteCodebook(
+                f"code {code.name!r} must cover exactly the plaintext domain: "
+                + "; ".join(detail)
+            )
+        for mask, label in codebook.items():
+            if label not in self.messages:
+                raise UnknownMessage(
+                    f"code {code.name!r} maps {mask} to {label!r}, "
+                    f"which is not in the message alphabet"
+                )
+        # every label equals a message, but one does not hash like it
+        indices = [self.messages.index(codebook[mask]) for mask in self.plaintexts]
+        return _table_row(indices, self.messages)
+
+    def _message_index(self, message: str) -> int:
+        """Position of `message` in ``messages``; raises UnknownMessage if absent."""
+        try:
+            return self.messages.index(message)
+        except ValueError:
             raise UnknownMessage(
                 f"message {message!r} is not in the alphabet "
                 f"({', '.join(self.messages)})"
-            )
+            ) from None
 
     def constraining_relation(self, message: str) -> ConstrainingRelation:
         """All (code, plaintext) pairs whose encoding equals `message`.
 
         The relation is built once per model and shared by every call.
         """
-        self._require_message(message)
+        self._message_index(message)
         return self._relations[message]
 
     @cached_property
     def _relations(self) -> dict[str, ConstrainingRelation]:
-        grouped: dict[str, dict[str, list[SubsetMask]]] = {m: {} for m in self.messages}
-        for code in self.codes:
-            for mask in self.plaintexts:
-                grouped[code.codebook[mask]].setdefault(code.name, []).append(mask)
-        prob = {code.name: code.prob for code in self.codes}
+        # decoded[m][c]: the plaintext positions code c sends to message m
+        decoded: list[dict[int, list[int]]] = [{} for _ in self.messages]
+        for c, row in enumerate(self._rows):
+            for p, m in enumerate(row):
+                decoded[m].setdefault(c, []).append(p)
+        plaintexts = self.plaintexts
+        names = [code.name for code in self.codes]
+        numerators = [code.prob.numerator for code in self.codes]
+        denominators = [code.prob.denominator for code in self.codes]
         relations = {}
-        for message, by_name in grouped.items():
-            denominator = math.lcm(*(prob[name].denominator for name in by_name))
+        for message, by_code in zip(self.messages, decoded):
+            denominator = math.lcm(*map(denominators.__getitem__, by_code))
             relations[message] = ConstrainingRelation(
-                {name: tuple(masks) for name, masks in by_name.items()},
                 {
-                    name: prob[name].numerator * (denominator // prob[name].denominator)
-                    for name in by_name
+                    names[c]: tuple(map(plaintexts.__getitem__, positions))
+                    for c, positions in by_code.items()
                 },
+                {names[c]: numerators[c] * (denominator // denominators[c]) for c in by_code},
                 denominator,
             )
         return relations

@@ -12,6 +12,7 @@ above, two-space indentation, trailing newline.
 
 from __future__ import annotations
 
+import errno
 import json
 from fractions import Fraction
 from importlib import resources
@@ -20,7 +21,7 @@ from pathlib import Path
 from .errors import ModelSyntaxError, UnknownLabel
 from .frames import Frame, SubsetMask
 from .mass import MAX_INVERSION_FRAME, format_rational, parse_rational
-from .evidence import Code, EvidenceModel
+from .evidence import Code, EvidenceModel, _table_row
 from .bayes import PriorSpec
 
 _MODEL_FIELDS = ("frame", "messages", "plaintexts", "codes", "observed")
@@ -38,11 +39,17 @@ def _string_list(value: object, field: str) -> list[str]:
 
 
 def read_document(path: str | Path) -> str:
-    """Text of a UTF-8 document file; undecodable bytes are a ModelSyntaxError."""
+    """Text of a UTF-8 document file; undecodable bytes are a ModelSyntaxError.
+
+    A path the system cannot name, such as one holding a NUL character, is
+    an OSError like any other file that cannot be opened.
+    """
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ModelSyntaxError(f"not UTF-8 text: {err}") from None
+    except ValueError as err:
+        raise OSError(errno.EINVAL, str(err), str(path)) from None
 
 
 def _decode_json(text: str) -> object:
@@ -84,18 +91,17 @@ def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask,
         raise _fail(field, "expected an object keyed by subset strings")
     table: dict[SubsetMask, Fraction] = {}
     for subset_text, rational in value.items():
-        entry = f"{field}[{subset_text!r}]"
         if not isinstance(rational, str):
-            raise _fail(entry, "expected a rational string such as \"2/3\"")
+            raise _fail(_entry(field, subset_text), "expected a rational string such as \"2/3\"")
         try:
             mask = frame.parse_subset(subset_text)
             if mask in table:
                 raise ValueError(f"duplicate subset {mask}")
             table[mask] = parse_rational(rational)
         except ValueError as err:
-            raise _fail(entry, str(err)) from None
+            raise _fail(_entry(field, subset_text), str(err)) from None
         except UnknownLabel as err:
-            raise UnknownLabel(f"{entry}: {err}") from None
+            raise UnknownLabel(f"{_entry(field, subset_text)}: {err}") from None
     return table
 
 
@@ -119,10 +125,16 @@ def parse_model(text: str) -> EvidenceModel:
         except UnknownLabel as err:
             raise UnknownLabel(f"{field}: {err}") from None
 
+    plaintexts = tuple(plaintexts)
+    position = {mask.bits: p for p, mask in enumerate(plaintexts)}
+    index = {message: m for m, message in enumerate(messages)}
+
     if not isinstance(doc["codes"], list):
         raise _fail("codes", "expected a list of code records")
     codes = []
-    masks: dict[str, SubsetMask] = {}  # every code maps the same plaintexts: parse each key once
+    # Every code maps the same plaintexts: each key text is read once, to its
+    # bits and its position in the domain (None outside it).
+    keys: dict[str, tuple[int, int | None]] = {}
     for i, record in enumerate(doc["codes"]):
         field = f"codes[{i}]"
         if not isinstance(record, dict):
@@ -142,28 +154,49 @@ def parse_model(text: str) -> EvidenceModel:
             prob = parse_rational(record["prob"])
         except ValueError as err:
             raise _fail(f"{field}.prob", str(err)) from None
-        if not isinstance(record["map"], dict):
-            raise _fail(f"{field}.map", "expected an object keyed by subset strings")
-        codebook: dict[SubsetMask, str] = {}
-        for subset_text, label in record["map"].items():
-            entry = f"{field}.map[{subset_text!r}]"
+        book = record["map"]
+        map_field = f"{field}.map"
+        if not isinstance(book, dict):
+            raise _fail(map_field, "expected an object keyed by subset strings")
+        row: list[int | None] = [None] * len(plaintexts)
+        outside: set[int] = set()  # keys outside the domain, for the model to report
+        for subset_text, label in book.items():
             if not isinstance(label, str):
-                raise _fail(entry, "expected a message label string")
-            mask = masks.get(subset_text)
-            if mask is None:
+                raise _fail(_entry(map_field, subset_text), "expected a message label string")
+            key = keys.get(subset_text)
+            if key is None:
                 try:
-                    mask = masks[subset_text] = frame.parse_subset(subset_text)
+                    bits = frame.parse_subset(subset_text).bits
                 except ValueError as err:
-                    raise _fail(entry, str(err)) from None
+                    raise _fail(_entry(map_field, subset_text), str(err)) from None
                 except UnknownLabel as err:
-                    raise UnknownLabel(f"{entry}: {err}") from None
-            if len(mask) == 0:
-                raise _fail(entry, "the empty set is not a valid plaintext")
-            if mask in codebook:
-                raise _fail(entry, f"duplicate plaintext {mask}")
-            codebook[mask] = label
+                    raise UnknownLabel(f"{_entry(map_field, subset_text)}: {err}") from None
+                key = keys[subset_text] = bits, position.get(bits)
+            bits, p = key
+            if not bits:
+                raise _fail(
+                    _entry(map_field, subset_text), "the empty set is not a valid plaintext"
+                )
+            if p is None:
+                duplicate = bits in outside
+                outside.add(bits)
+            else:
+                duplicate = row[p] is not None
+                row[p] = index.get(label, -1)
+            if duplicate:
+                raise _fail(
+                    _entry(map_field, subset_text),
+                    f"duplicate plaintext {SubsetMask(frame, bits)}",
+                )
         try:
-            codes.append(Code(name, prob, codebook))
+            if outside or None in row or -1 in row:
+                # the model's checks report the fault, reading the map in its order
+                codebook = {SubsetMask(frame, keys[t][0]): label for t, label in book.items()}
+                codes.append(Code(name, prob, codebook))
+            else:
+                codes.append(
+                    Code._from_row(name, prob, plaintexts, messages, _table_row(row, messages))
+                )
         except ValueError as err:
             raise _fail(f"{field}.name", str(err)) from None
 
@@ -172,13 +205,19 @@ def parse_model(text: str) -> EvidenceModel:
         raise _fail("observed", "expected a message label string")
 
     try:
-        return EvidenceModel(frame, messages, tuple(plaintexts), tuple(codes), observed)
+        return EvidenceModel(frame, messages, plaintexts, tuple(codes), observed)
     except ValueError as err:
         raise ModelSyntaxError(str(err)) from None
 
 
+def _entry(field: str, subset_text: str) -> str:
+    """Context of one subset-keyed entry, built only when it is reported."""
+    return f"{field}[{subset_text!r}]"
+
+
 def serialize_model(model: EvidenceModel) -> str:
     """Canonical document for a model; reparses to an equal model."""
+    keys = [str(mask) for mask in model.plaintexts]
     doc: dict[str, object] = {
         "frame": list(model.frame.labels),
         "messages": list(model.messages),
@@ -187,9 +226,9 @@ def serialize_model(model: EvidenceModel) -> str:
             {
                 "name": code.name,
                 "prob": format_rational(code.prob),
-                "map": {str(mask): code.codebook[mask] for mask in model.plaintexts},
+                "map": dict(zip(keys, map(model.messages.__getitem__, row))),
             }
-            for code in model.codes
+            for code, row in zip(model.codes, model._rows)
         ],
     }
     if model.observed is not None:
@@ -203,20 +242,20 @@ def load_model(path: str | Path) -> EvidenceModel:
 
 def validate_model(model: EvidenceModel) -> list[str]:
     """Warnings about a structurally valid model; empty means clean."""
-    relations = {message: model.constraining_relation(message) for message in model.messages}
+    messages, plaintexts = model.messages, model.plaintexts
     findings = []
-    for code in model.codes:
-        for message, relation in relations.items():
-            hits = relation.decoded.get(code.name, ())
+    for code, row in zip(model.codes, model._rows):
+        for m, message in enumerate(messages):
+            hits = [str(mask) for mask, sent in zip(plaintexts, row) if sent == m]
             if len(hits) > 1:
-                listed = ", ".join(str(mask) for mask in hits)
                 findings.append(
-                    f"code {code.name} non-injective on {message}: {listed}"
+                    f"code {code.name} non-injective on {message}: {', '.join(hits)}"
                 )
-    for message, relation in relations.items():
-        if not relation.decoded:
+    emitted = set().union(*model._rows)
+    for m, message in enumerate(messages):
+        if m not in emitted:
             findings.append(f"message {message} emitted by no code")
-    if model.observed is not None and not relations[model.observed].decoded:
+    if model.observed is not None and messages.index(model.observed) not in emitted:
         findings.append(
             f"observed message {model.observed} cannot be produced by any code"
         )

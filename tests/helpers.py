@@ -7,10 +7,20 @@ cross-check and not a tautology.
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from beliefkit import Code, EvidenceModel, Frame, MassFunction, PriorSpec
+from beliefkit import (
+    Code,
+    EvidenceModel,
+    Frame,
+    MassFunction,
+    NoAcceptedTrials,
+    PriorSpec,
+    SimulationReport,
+)
 
 
 # ---------- set-of-labels oracles ----------
@@ -100,6 +110,51 @@ def oracle_combine(mass1_by_set, mass2_by_set):
     if conflict == 1:
         return None, conflict
     return {s: v / (1 - conflict) for s, v in pooled.items()}, conflict
+
+
+def oracle_simulate(model: EvidenceModel, prior: PriorSpec, message, samples, seed):
+    """The Monte Carlo trials one at a time: draw a plaintext, then a code.
+
+    Reads the codes' relation records and draws from the same stream as
+    :func:`beliefkit.simulate`, so the two reports must be equal.  Expects a
+    valid message, sample count and prior.
+    """
+    decoded = model.constraining_relation(message).decoded
+    domain = model.plaintexts
+    # Trials index the domain and the codes: sends[c] holds the positions in
+    # the domain of the plaintexts that code c decodes the message to.
+    position = {mask.bits: p for p, mask in enumerate(domain)}
+    sends = [{position[mask.bits] for mask in decoded.get(code.name, ())} for code in model.codes]
+    plaintext_pool = [p for p, mask in enumerate(domain) if prior.weight_of(mask) > 0]
+    plaintext_cum = list(accumulate(float(prior.weight_of(domain[p])) for p in plaintext_pool))
+    code_cum = list(accumulate(float(code.prob) for code in model.codes))
+    rng = random.Random(seed)
+    counts = [0] * len(domain)
+    accepted = 0
+    last_plaintext = len(plaintext_pool) - 1
+    last_code = len(code_cum) - 1
+    for _ in range(samples):
+        # min() guards the rare float round-up of u onto the last boundary
+        u = rng.random() * plaintext_cum[-1]
+        p = plaintext_pool[min(bisect_right(plaintext_cum, u), last_plaintext)]
+        u = rng.random() * code_cum[-1]
+        if p in sends[min(bisect_right(code_cum, u), last_code)]:
+            counts[p] += 1
+            accepted += 1
+    if accepted == 0:
+        raise NoAcceptedTrials(
+            f"none of the {samples} trials produced message {message!r}"
+        )
+    frequencies = {mask: count / accepted for mask, count in zip(domain, counts)}
+    return SimulationReport(frequencies, accepted, samples, seed)
+
+
+def simulation_outcome(run, *args):
+    """The report of ``run(*args)``, or the text of its NoAcceptedTrials."""
+    try:
+        return run(*args)
+    except NoAcceptedTrials as err:
+        return str(err)
 
 
 def as_set_dict(mass: MassFunction):

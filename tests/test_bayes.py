@@ -1,5 +1,8 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -17,10 +20,13 @@ from beliefkit import (
     UnknownMessage,
     UnknownPlaintext,
     ZeroMarginal,
+    bayes,
     bayes_factor,
     likelihood,
+    parse_model,
     posterior,
     posterior_odds,
+    serialize_model,
     simulate,
     williams_check,
 )
@@ -29,13 +35,17 @@ from helpers import (
     MANY_CODES,
     mixed_fractions,
     oracle_likelihood,
+    oracle_simulate,
     producible_message,
+    random_fractions,
     random_frame,
     random_model,
     random_prior,
+    simulation_outcome,
 )
 
 F = Fraction
+CHUNK = bayes._SIMULATION_CHUNK
 YN = Frame(("yes", "no"))
 NO = YN.subset(["no"])
 YES = YN.subset(["yes"])
@@ -328,6 +338,56 @@ class TestSimulate:
         )
         with pytest.raises(NoAcceptedTrials):
             simulate(model, PriorSpec({x: F(1)}), "q1", 1, SEED)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
+        ids=["one", "chunk-1", "chunk", "chunk+1", "2chunk+3"],
+    )
+    def test_equals_the_per_trial_oracle(self, samples):
+        rng = random.Random(8080 + samples)
+        for trial in range(12):
+            fractions = mixed_fractions if trial % 3 else random_fractions
+            model = random_model(
+                rng, random_frame(rng, 4, min_size=2), min_codes=2, max_codes=6,
+                min_plaintexts=2, max_plaintexts=6, min_messages=2, max_messages=3,
+                fractions=fractions,
+            )
+            if trial % 2:  # the parser's constructor
+                model = parse_model(serialize_model(model))
+            message = producible_message(rng, model)
+            # some plaintexts weightless, some left out of the prior
+            weighted = [mask for mask in model.plaintexts if rng.random() < 0.7]
+            weighted = weighted or [model.plaintexts[0]]
+            weights = dict(zip(weighted, fractions(rng, len(weighted))))
+            for mask in model.plaintexts:
+                if mask not in weights and rng.random() < 0.5:
+                    weights[mask] = F(0)
+            prior = PriorSpec(weights)
+            seed = rng.randrange(1 << 32)
+            args = (model, prior, message, samples, seed)
+            assert simulation_outcome(simulate, *args) == simulation_outcome(
+                oracle_simulate, *args
+            )
+
+    def test_cuts_pick_as_the_per_trial_search(self):
+        rng = random.Random(1618)
+        top = 1 - 2 ** -53  # the largest draw random() returns
+        for trial in range(300):
+            count = rng.randint(1, 8)
+            fractions = mixed_fractions if trial % 2 else random_fractions
+            weights = [float(w) for w in fractions(rng, count)]
+            if trial % 5 == 0:
+                weights[0] = 1e-320  # a weight that rounds to a subnormal
+            cum = list(accumulate(weights))
+            cuts = bayes._cuts(weights)
+            draws = [0.0, top] + [rng.random() for _ in range(50)]
+            for cut in cuts:
+                draws += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
+            for u in draws:
+                if 0.0 <= u <= top:
+                    expected = min(bisect_right(cum, u * cum[-1]), count - 1)
+                    assert bisect_right(cuts, u) == expected
 
     def test_bad_sample_count(self, example1):
         with pytest.raises(ValueError):

@@ -364,6 +364,19 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ModelSyntaxError")
 
+    @pytest.mark.parametrize("form", ["model", "combine", "from-belief", "prior-file"])
+    def test_path_with_nul_is_a_file_error(self, capsys, example1_path, form):
+        # a process argument cannot hold NUL, but an in-process argv can
+        argv = {
+            "model": ["derive", "a\x00b.json"],
+            "combine": ["combine", example1_path, "a\x00b.json"],
+            "from-belief": ["derive", "--from-belief", "a\x00b.json"],
+            "prior-file": ["bayes", example1_path, "--prior-file", "a\x00b.json"],
+        }[form]
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err == "error: [Errno 22] embedded null byte: 'a\\x00b.json'\n"
+
     @pytest.mark.parametrize("command", ["derive", "bayes", "williams", "validate"])
     @pytest.mark.parametrize(
         "model,old,new",

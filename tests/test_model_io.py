@@ -13,6 +13,7 @@ from beliefkit import (
     InvalidPrior,
     MassFunction,
     ModelSyntaxError,
+    PriorSpec,
     ProbabilitySumError,
     UnknownLabel,
     UnknownMessage,
@@ -21,10 +22,21 @@ from beliefkit import (
     parse_model,
     parse_prior_table,
     serialize_model,
+    simulate,
     validate_model,
 )
 
-from helpers import random_frame, random_model
+from helpers import (
+    as_set_dict,
+    mixed_fractions,
+    oracle_derive,
+    oracle_simulate,
+    producible_message,
+    random_fractions,
+    random_frame,
+    random_model,
+    simulation_outcome,
+)
 
 F = Fraction
 YN = Frame(("yes", "no"))
@@ -165,6 +177,109 @@ class TestParseModel:
             parse_model(json.dumps(doc))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "maps,edits,error,message",
+        [
+            # faults found while reading a map entry come first, in map order
+            ([{"{a}": "X", "{z}": "X", "{b}": "KIWI", "{a,b}": "X"}, None], {},
+             UnknownLabel, "codes[0].map['{z}']: label 'z' is not in frame {a,b,c}"),
+            ([{"{a}": "KIWI", "{z}": "X", "{b}": "Y", "{a,b}": "X"}, None], {},
+             UnknownLabel, "codes[0].map['{z}']: label 'z' is not in frame {a,b,c}"),
+            ([None, {"{b,a}": "KIWI", "{a}": "Y", "{b}": "X", "{a,b}": "Y"}], {},
+             ModelSyntaxError, "codes[1].map['{a,b}']: duplicate plaintext {a,b}"),
+            ([{"{a}": "KIWI", "{}": "X", "{b}": "Y", "{a,b}": "X"}, None], {},
+             ModelSyntaxError, "codes[0].map['{}']: the empty set is not a valid plaintext"),
+            ([{"{a}": 3, "{z}": "X"}, None], {},
+             ModelSyntaxError, "codes[0].map['{a}']: expected a message label string"),
+            ([{"{a}": "X", "{b}": "Y", "{a,b}": "X"}, {"{a}": ["Y"]}], {"name": "\ud800"},
+             ModelSyntaxError, "codes[0].name: code name '\\ud800' is not valid Unicode text"),
+            ([{"{a}": "X", "{b}": "Y", "{a,b}": 0}, None], {"name": "\ud800"},
+             ModelSyntaxError, "codes[0].map['{a,b}']: expected a message label string"),
+            # then the model's checks, in the constructor's order
+            ([{"{b}": "KIWI", "{c}": "X", "{a,c}": "Y"}, None], {},
+             IncompleteCodebook,
+             "code 'c1' must cover exactly the plaintext domain: "
+             "missing {a,b}, {a}; extra {a,c}, {c}"),
+            ([{"{a}": "X", "{b}": "KIWI", "{a,b}": "X"}, {"{a}": "Y", "{c}": "X"}], {},
+             UnknownMessage,
+             "code 'c1' maps {b} to 'KIWI', which is not in the message alphabet"),
+            ([{"{a,b}": "KIWI", "{a}": "LIME", "{b}": "Y"}, None], {},
+             UnknownMessage,
+             "code 'c1' maps {a,b} to 'KIWI', which is not in the message alphabet"),
+            ([{"{a}": "X", "{b}": "KIWI", "{a,b}": "X"}, None], {"prob": "0"},
+             UnknownMessage,
+             "code 'c1' maps {b} to 'KIWI', which is not in the message alphabet"),
+            ([None, {"{a}": "Y"}], {"prob": "0"},
+             ProbabilitySumError, "code 'c1' has non-positive probability 0"),
+            ([None, {"{a}": "Y", "{c}": "X"}], {"name": "c2"},
+             DuplicateCodeName, "code names must be distinct: ['c2', 'c2']"),
+        ],
+        ids=[
+            "unknown-key-label-before-bad-message", "bad-message-before-unknown-key-label",
+            "same-subset-spelled-twice", "empty-set-key", "non-string-label",
+            "lone-surrogate-name", "map-fault-before-lone-surrogate-name",
+            "missing-and-extra-keys", "bad-message-before-later-missing-key",
+            "first-bad-message-in-map-order", "bad-message-before-zero-prob",
+            "zero-prob-before-later-missing-key", "duplicate-name-before-missing-key",
+        ],
+    )
+    def test_multi_fault_documents_report_their_first_fault(
+        self, maps, edits, error, message
+    ):
+        doc = {
+            "frame": ["a", "b", "c"],
+            "messages": ["X", "Y"],
+            "plaintexts": [["a"], ["b"], ["a", "b"]],
+            "codes": [
+                {"name": "c1", "prob": "1/2", "map": {"{a}": "X", "{b}": "Y", "{a,b}": "X"}},
+                {"name": "c2", "prob": "1/2", "map": {"{a}": "Y", "{b}": "X", "{a,b}": "Y"}},
+            ],
+        }
+        for record, book in zip(doc["codes"], maps):
+            if book is not None:
+                record["map"] = book
+        doc["codes"][0].update(edits)
+        with pytest.raises(error) as err:
+            parse_model(json.dumps(doc))
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "edits,error,message",
+        [
+            ({"messages": ["X", "X"]}, ModelSyntaxError,
+             "message labels must be distinct: ('X', 'X')"),
+            ({"messages": []}, ModelSyntaxError, "a model needs at least one message label"),
+            ({"plaintexts": [["a"], ["b"], ["b", "a"], ["a", "b"]]}, ModelSyntaxError,
+             "plaintext domain entries must be distinct"),
+            ({"observed": "KIWI", "prob": "1/3"}, ProbabilitySumError,
+             "code probabilities sum to 5/6, expected 1"),
+            ({"observed": "KIWI"}, UnknownMessage,
+             "code 'c2' maps {b} to 'KIWI', which is not in the message alphabet"),
+        ],
+        ids=["duplicate-messages", "no-messages", "duplicate-plaintexts",
+             "bad-sum-before-unknown-observed", "bad-message-before-unknown-observed"],
+    )
+    def test_model_level_faults_precede_a_bad_message_label(self, edits, error, message):
+        doc = {
+            "frame": ["a", "b", "c"],
+            "messages": ["X", "Y"],
+            "plaintexts": [["a"], ["b"], ["a", "b"]],
+            "codes": [
+                {"name": "c1", "prob": "1/2", "map": {"{a}": "X", "{b}": "Y", "{a,b}": "X"}},
+                {"name": "c2", "prob": "1/2", "map": {"{a}": "Y", "{b}": "X", "{a,b}": "Y"}},
+            ],
+        }
+        if "prob" in edits:
+            doc["codes"][0]["prob"] = edits.pop("prob")
+        else:
+            doc["codes"][1]["map"]["{b}"] = "KIWI"
+        doc.update(edits)
+        with pytest.raises(error) as err:
+            parse_model(json.dumps(doc))
+        assert type(err.value) is error
+        assert str(err.value) == message
+
     def test_keys_shared_by_codes_parse_to_equal_masks(self):
         doc = json.loads(spy_document())
         spell_full_set_no_yes(doc)
@@ -187,6 +302,43 @@ class TestSerializeModel:
         for _ in range(60):
             model = random_model(rng, random_frame(rng, 4))
             assert parse_model(serialize_model(model)) == model
+
+    def test_both_constructors_round_trip_to_equal_models(self):
+        rng = random.Random(314159)
+        for trial in range(40):
+            fractions = mixed_fractions if trial % 2 else random_fractions
+            built = random_model(rng, random_frame(rng, 5), max_codes=6, fractions=fractions)
+            text = serialize_model(built)
+            parsed = parse_model(text)
+            for model in (built, parsed):
+                again = parse_model(serialize_model(model))
+                assert again == model == built
+                assert serialize_model(again) == text
+                assert [code.codebook for code in again.codes] == [
+                    code.codebook for code in built.codes
+                ]
+                for message in model.messages:
+                    assert again.constraining_relation(message) == built.constraining_relation(
+                        message
+                    )
+
+    def test_alphabets_past_one_byte_of_message_index(self):
+        # past 256 messages a row of the model's table no longer fits in bytes
+        rng = random.Random(2560)
+        for trial in range(6):
+            built = random_model(
+                rng, random_frame(rng, 4), max_codes=5, min_messages=300, max_messages=300,
+                fractions=mixed_fractions,
+            )
+            parsed = parse_model(serialize_model(built))
+            assert parsed == built
+            assert validate_model(parsed) == validate_model(built)
+            message = producible_message(rng, built)
+            assert as_set_dict(parsed.derive_mass(message)) == oracle_derive(built, message)
+            prior = PriorSpec.uniform(built.plaintexts)
+            expected = simulation_outcome(oracle_simulate, built, prior, message, 500, trial)
+            for model in (built, parsed):
+                assert simulation_outcome(simulate, model, prior, message, 500, trial) == expected
 
     def test_observed_field_omitted_when_absent(self, example1):
         model = EvidenceModel(
