@@ -143,11 +143,11 @@ def likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fra
 def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
     """The likelihood of every plaintext of the domain, domain order."""
     relation = model.constraining_relation(message)
-    sums = dict.fromkeys(model.plaintexts, 0)
+    sums: Counter[int] = Counter()
     for name, masks in relation.decoded.items():
         for mask in masks:
-            sums[mask] += relation.weights[name]
-    return {mask: Fraction(total, relation.denominator) for mask, total in sums.items()}
+            sums[mask.bits] += relation.weights[name]
+    return {mask: Fraction(sums[mask.bits], relation.denominator) for mask in model.plaintexts}
 
 
 def _check_prior_domain(model: EvidenceModel, prior: PriorSpec) -> None:

@@ -6,11 +6,12 @@ floats are rejected so golden values never pick up rounding noise.  A
 positive mass), validates normalization at construction, and never assigns
 mass to the empty set.
 
-Internally a mass function is held as plain ``int`` bitmasks and integer
-numerators over one common denominator, so belief queries, the belief-table
-inversion and Dempster's rule (:mod:`beliefkit.combine`) run on integer
-arithmetic alone; :class:`SubsetMask` and :class:`Fraction` values are built
-only where they leave the API.
+Internally a mass function is held as ``int`` bitmasks and integer numerators
+over one common denominator, so Bel/Pl queries, belief-table inversion and
+Dempster's rule (:mod:`beliefkit.combine`) run on integers alone.  Values come
+in through one intake: each is read once as an integer ratio and scaled to the
+lcm by a factor computed once per distinct denominator.  :class:`SubsetMask`
+and :class:`Fraction` values are built only where they leave the API.
 
 Dense work goes through one in-place transform over the subset lattice,
 O(size * 2^size) (Kennes & Smets, "Computational aspects of the Möbius
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, sub
+from itertools import compress
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -37,9 +39,6 @@ from .errors import (
     NotABeliefFunction,
 )
 from .frames import Frame, SubsetMask
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 # Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
 MAX_INVERSION_FRAME = 12
@@ -77,8 +76,12 @@ def exact(value: object) -> Fraction:
     return Fraction(value)
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(value.denominator for value in values))
+def _over_one_denominator(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Exact ``(n, d)`` pairs over their lcm, computing ``lcm // d`` once per distinct d."""
+    distinct = set(map(itemgetter(1), ratios))
+    denominator = math.lcm(*distinct)
+    scale = {d: denominator // d for d in distinct}
+    return denominator, [n * scale[d] for n, d in ratios]
 
 
 def _lattice_transform(table: list[int], size: int, op: Callable[[int, int], int]) -> None:
@@ -120,20 +123,19 @@ class MassFunction:
     __slots__ = ("_frame", "_denominator", "_numerators", "_belief_table")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[SubsetMask, object]]):
-        values: list[tuple[int, Fraction]] = []
+        keys, ratios = [], []
         for mask, value in entries:
-            if mask.frame != frame:
+            if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"focal set {mask} does not belong to the frame")
-            value = exact(value)
+            value = value if value.__class__ is Fraction else exact(value)
             if value < 0:
                 raise NegativeMass(f"mass of {mask} is negative: {format_rational(value)}")
-            values.append((mask.bits, value))
-        denominator = _common_denominator(value for _, value in values)
+            keys.append(mask.bits)
+            ratios.append(value.as_integer_ratio())
+        denominator, scaled = _over_one_denominator(ratios)
         numerators: dict[int, int] = {}
-        for bits, value in values:
-            numerators[bits] = numerators.get(bits, 0) + (
-                value.numerator * (denominator // value.denominator)
-            )
+        for bits, n in zip(keys, scaled):
+            numerators[bits] = numerators.get(bits, 0) + n
         self._set(frame, denominator, numerators)
 
     @classmethod
@@ -171,7 +173,7 @@ class MassFunction:
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
-        return cls(frame, [(frame.full(), ONE)])
+        return cls(frame, [(frame.full(), Fraction(1))])
 
     @classmethod
     def from_belief(cls, frame: Frame, belief: Mapping[SubsetMask, object]) -> MassFunction:
@@ -180,8 +182,8 @@ class MassFunction:
         `belief` must assign a value to every one of the ``2^size`` subsets
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
-        by the lattice transform that builds Bel tables, run with ``sub``,
-        on the table's numerators over their common denominator.  Raises
+        by the lattice transform run with ``sub`` on the table's numerators
+        over one denominator, scaled once per distinct denominator.  Raises
         ValueError for a frame larger than MAX_INVERSION_FRAME, and
         NotABeliefFunction when the table is not dense, Bel(full) != 1,
         Bel(empty) != 0, or any inverted mass is negative.
@@ -192,37 +194,35 @@ class MassFunction:
                 f"belief inversion is limited to frames of size "
                 f"{MAX_INVERSION_FRAME} or smaller, got {size}"
             )
-        values = [ZERO] * (1 << size)
-        seen = 0
+        cells = 1 << size
+        table = [(0, 1)] * cells
         for mask, value in belief.items():
-            if mask.frame != frame:
+            if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
-            values[mask.bits] = exact(value)
-            seen += 1
-        if seen != 1 << size:
+            value = value if value.__class__ is Fraction else exact(value)
+            table[mask.bits] = value.as_integer_ratio()
+        if len(belief) != cells:
             raise NotABeliefFunction(
-                f"belief table must cover all {1 << size} subsets, got {seen}"
+                f"belief table must cover all {cells} subsets, got {len(belief)}"
             )
-        if values[-1] != 1:
+        if table[-1] != (1, 1):
             raise NotABeliefFunction(
-                f"Bel of the full frame is {format_rational(values[-1])}, expected 1"
+                f"Bel of the full frame is {format_rational(Fraction(*table[-1]))}, expected 1"
             )
-        denominator = _common_denominator(values)
-        table = [v.numerator * (denominator // v.denominator) for v in values]
+        denominator, table = _over_one_denominator(table)
         _lattice_transform(table, size, sub)
         if table[0] != 0:
             raise NotABeliefFunction(
                 f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
                 f"on the empty set"
             )
-        for bits, n in enumerate(table):
-            if n < 0:
-                raise NotABeliefFunction(
-                    f"inversion yields negative mass "
-                    f"{format_rational(Fraction(n, denominator))} "
-                    f"on {SubsetMask(frame, bits)}"
-                )
-        return cls._from_numerators(frame, denominator, dict(enumerate(table)))
+        if min(table) < 0:
+            bits = next(bits for bits, n in enumerate(table) if n < 0)
+            mass = format_rational(Fraction(table[bits], denominator))
+            where = SubsetMask(frame, bits)
+            raise NotABeliefFunction(f"inversion yields negative mass {mass} on {where}")
+        focal = zip(compress(range(cells), table), filter(None, table))
+        return cls._from_numerators(frame, denominator, dict(focal))
 
     @property
     def frame(self) -> Frame:
@@ -237,7 +237,7 @@ class MassFunction:
         )
 
     def _require_frame(self, mask: SubsetMask) -> None:
-        if mask.frame != self._frame:
+        if mask.frame is not self._frame and mask.frame != self._frame:
             raise FrameMismatch(f"{mask} does not belong to the frame")
 
     def __getitem__(self, mask: SubsetMask) -> Fraction:

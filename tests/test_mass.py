@@ -267,6 +267,125 @@ class TestLatticeTransform:
         assert m._belief_table is None
 
 
+class Half(Fraction):
+    """A Fraction subclass: it is not exactly Fraction, so it goes through exact()."""
+
+
+ABC = Frame(("a", "b", "c"))
+
+
+def spy_belief(convert=lambda value: value):
+    """The spy mass's dense Bel table, each value passed through `convert`."""
+    return {mask: convert(spy_mass().belief(mask)) for mask in TOP.subsets()}
+
+
+def abc_table(values):
+    """A dense table on ABC from a ``bits -> value`` dict, in the dict's order."""
+    return {SubsetMask(ABC, bits): value for bits, value in values.items()}
+
+
+class TestIntake:
+    """The constructor and from_belief put values over one denominator through
+    one intake; these pin what it accepts, its diagnostics and their order."""
+
+    @pytest.mark.parametrize(
+        "convert",
+        [format_rational, lambda v: int(v) if v.denominator == 1 else v, Half],
+        ids=["text", "int", "fraction-subclass"],
+    )
+    def test_non_fraction_values_give_the_same_mass(self, convert):
+        assert MassFunction.from_belief(YN, spy_belief(convert)) == spy_mass()
+        entries = [(NO, convert(F(2, 3))), (TOP, convert(F(1, 3))), (YES, convert(F(0)))]
+        assert MassFunction(YN, entries) == spy_mass()
+        assert MassFunction(YN, [(TOP, convert(F(1)))]) == MassFunction.vacuous(YN)
+
+    def test_float_rejected(self):
+        bel = spy_belief()
+        bel[NO] = 2 / 3
+        with pytest.raises(TypeError, match="^probability values must be exact rationals"):
+            MassFunction.from_belief(YN, bel)
+
+    def test_frame_checked_before_value_in_iteration_order(self):
+        foreign = Frame(("yes", "no", "maybe")).full()
+        for bel in ({foreign: 0.5}, {foreign: F(1), NO: 0.5}):
+            with pytest.raises(
+                FrameMismatch,
+                match=r"^belief table key \{yes,no,maybe\} does not belong to the frame$",
+            ):
+                MassFunction.from_belief(YN, bel)
+        with pytest.raises(TypeError):
+            MassFunction.from_belief(YN, {NO: 0.5, foreign: F(1)})
+        for entries in ([(foreign, 0.5)], [(foreign, F(1)), (NO, 0.5)]):
+            with pytest.raises(
+                FrameMismatch,
+                match=r"^focal set \{yes,no,maybe\} does not belong to the frame$",
+            ):
+                MassFunction(YN, entries)
+        with pytest.raises(TypeError):
+            MassFunction(YN, [(NO, 0.5), (foreign, F(1))])
+        with pytest.raises(NegativeMass, match=r"^mass of \{no\} is negative: -1/3$"):
+            MassFunction(YN, [(NO, F(-1, 3)), (foreign, F(1))])
+
+    def test_equal_but_distinct_frame_accepted(self):
+        twin = Frame(YN.labels)
+        assert twin is not YN and twin == YN
+        bel = {SubsetMask(twin, mask.bits): value for mask, value in spy_belief().items()}
+        assert MassFunction.from_belief(YN, bel) == spy_mass()
+        m = MassFunction(YN, [(SubsetMask(twin, NO.bits), F(2, 3)), (TOP, F(1, 3))])
+        assert m == spy_mass()
+        assert m[SubsetMask(twin, NO.bits)] == F(2, 3)
+        assert m.belief(SubsetMask(twin, NO.bits)) == F(2, 3)
+        assert m.plausibility(SubsetMask(twin, YES.bits)) == F(1, 3)
+
+    def test_checks_run_in_order(self):
+        wide = wide_frame(MAX_INVERSION_FRAME + 1)
+        with pytest.raises(ValueError, match="^belief inversion is limited"):
+            MassFunction.from_belief(wide, {YN.full(): 0.5})
+        values = {bits: F(0) for bits in range(7)}
+        values[0] = F(1, 4)
+        # one cell short, with Bel(empty) = 1/4 and Bel(full) = 1/2 as well
+        short = {bits: value for bits, value in values.items() if bits != 6}
+        with pytest.raises(
+            NotABeliefFunction, match="^belief table must cover all 8 subsets, got 7$"
+        ):
+            MassFunction.from_belief(ABC, abc_table({**short, 7: F(1, 2)}))
+        # Bel(empty) = 1/4 as well: the full frame is checked first
+        with pytest.raises(
+            NotABeliefFunction, match="^Bel of the full frame is 1/2, expected 1$"
+        ):
+            MassFunction.from_belief(ABC, abc_table({**values, 7: F(1, 2)}))
+        # Bel(empty) = 1/4 and negative masses: the empty set is checked first
+        with pytest.raises(
+            NotABeliefFunction, match="^inversion puts mass 1/4 on the empty set$"
+        ):
+            MassFunction.from_belief(ABC, abc_table({**values, 7: F(1)}))
+
+    def test_lowest_negative_bitmask_is_named(self):
+        # m({a,b}) = m({a,c}) = -1/2 and m({b,c}) = -1; {a,b} has the lowest bits.
+        # The table runs in descending bit order, so the lowest comes last.
+        half = F(1, 2)
+        values = {7: F(1), 6: F(0), 5: half, 4: half, 3: half, 2: half, 1: half, 0: F(0)}
+        with pytest.raises(
+            NotABeliefFunction, match=r"^inversion yields negative mass -1/2 on \{a,b\}$"
+        ):
+            MassFunction.from_belief(ABC, abc_table(values))
+
+    def test_frame_12_round_trip_agrees_field_by_field(self):
+        m = random_mass(
+            random.Random(1224),
+            wide_frame(12),
+            max_focal=300,
+            min_focal=300,
+            fractions=mixed_fractions,
+        )
+        assert len({v.denominator for _, v in m.focal()}) > 1
+        table = {mask: m.belief(mask) for mask in m.frame.full().subsets()}
+        inverted = MassFunction.from_belief(m.frame, table)
+        assert inverted._denominator == m._denominator
+        assert list(inverted._numerators.items()) == list(m._numerators.items())
+        assert inverted.focal() == m.focal()
+
+
 @st.composite
 def masses(draw, frame=None, max_size=4):
     if frame is None:
