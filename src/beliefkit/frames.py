@@ -4,7 +4,8 @@ A :class:`Frame` is an ordered tuple of distinct hypothesis labels; a
 :class:`SubsetMask` is a subset of one frame stored as a positional bitmask
 (bit ``i`` set means ``frame.labels[i]`` is a member).  Frames compare by
 content, so two identically labelled frames are interchangeable; a frame
-hashes its labels once, when it is built.  All values are immutable and all
+hashes its labels once, when it is built, and maps each label to its
+position in a dict built at the same time.  All values are immutable and all
 operations are pure.
 """
 
@@ -56,6 +57,7 @@ class Frame:
         if len(set(labels)) != len(labels):
             raise ValueError(f"frame labels must be distinct: {labels}")
         object.__setattr__(self, "_hash", hash(labels))
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(labels)})
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -79,8 +81,8 @@ class Frame:
     def index(self, label: str) -> int:
         """Position of `label` in the frame; raises UnknownLabel if absent."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(
                 f"label {label!r} is not in frame {{{','.join(self.labels)}}}"
             ) from None

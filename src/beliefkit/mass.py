@@ -13,23 +13,28 @@ in through one intake: each is read once as an integer ratio and scaled to the
 lcm by a factor computed once per distinct denominator.  :class:`SubsetMask`
 and :class:`Fraction` values are built only where they leave the API.
 
-Dense work goes through one in-place transform over the subset lattice,
-O(size * 2^size) (Kennes & Smets, "Computational aspects of the Möbius
-transformation", UAI 1990).  Summing up the lattice gives the table of Bel
-numerators: on frames of at most MAX_INVERSION_FRAME labels a mass builds it
-on its first Bel or Pl query and answers every query from it; larger frames
-scan the focal elements instead.
-Subtracting down the lattice inverts a belief table in :meth:`from_belief`.
+Dense work goes through one transform over the subset lattice, size passes
+over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
+transformation", UAI 1990).  The table is packed into one integer of
+fixed-width fields, each wide enough for ``max|cell| * 2^size`` and a sign
+bit (8, 16, 32 or 64 bits, then whole bytes), and each pass is one masked
+shift-and-add over the whole integer.  Summing up the lattice gives the table
+of Bel numerators: on frames of at most MAX_INVERSION_FRAME labels a mass
+builds it on its first Bel or Pl query and answers every query from it;
+larger frames scan the focal elements instead.  Subtracting down the lattice
+inverts a belief table in :meth:`from_belief`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 from .errors import (
     FrameMismatch,
@@ -42,6 +47,11 @@ from .frames import Frame, SubsetMask
 
 # Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
 MAX_INVERSION_FRAME = 12
+
+# The lattice transform moves cells through signed arrays: their typecodes
+# by item size in bytes, read from the platform, and its byte order.
+_SIGNED_CODES = {array(code).itemsize: code for code in "bhilq"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -84,27 +94,59 @@ def _over_one_denominator(ratios: list[tuple[int, int]]) -> tuple[int, list[int]
     return denominator, [n * scale[d] for n, d in ratios]
 
 
-def _lattice_transform(table: list[int], size: int, op: Callable[[int, int], int]) -> None:
+def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
     """Fold every cell of `table` with the cells below it, one bit at a time.
 
-    With ``add`` each cell ``A`` becomes the sum of the cells of the subsets
-    of ``A`` (the zeta transform); with ``sub`` the same passes undo it (the
-    Möbius inverse).  For bit ``i`` the cells with the bit set are updated
-    from their partners without it in whole-slice passes: one strided slice
-    per offset inside a block of ``2^(i+1)`` cells, or one slice per block,
-    whichever needs fewer slices.
+    Forward, each cell ``A`` of the returned table is the sum of the cells
+    of the subsets of ``A`` (the zeta transform); with `inverse` the same
+    passes subtract and undo it (the Möbius inverse).
+
+    The table is packed into one integer of fixed-width fields, cell ``k``
+    in field ``k`` in offset binary (value + 2^(w-1)).  No partial sum
+    exceeds ``max|cell| * 2^size`` in magnitude, so the width w is the
+    smallest of 8, 16, 32 or 64 bits that holds that bound and a sign
+    bit, and past 64 bits a whole number of bytes; no field then ever
+    leaves [0, 2^w).  Bit ``i`` is one masked shift-and-add over the whole
+    table: the fields without bit ``i``, less their bias, shifted onto
+    their partners with it.  Cells go in and out through an ``array`` of
+    that item size, or through ``int.to_bytes`` per cell past 64 bits.
     """
     cells = 1 << size
-    for i in range(size):
-        half = 1 << i
-        step = half << 1
-        if half <= cells // step:
-            for hi in range(half, step):
-                table[hi::step] = map(op, table[hi::step], table[hi - half :: step])
-        else:
-            for lo in range(0, cells, step):
-                hi = lo + half
-                table[hi : lo + step] = map(op, table[hi : lo + step], table[lo:hi])
+    bits = max(max(table), -min(table)).bit_length() + size + 1
+    nbytes = -(-bits // 8)
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+    width = nbytes * 8
+    code = _SIGNED_CODES.get(nbytes)
+    if code is None:
+        data = b"".join([n.to_bytes(nbytes, "little", signed=True) for n in table])
+    else:
+        data = array(code, table)
+        if _BIG_ENDIAN:
+            data.byteswap()
+    # Two's complement to offset binary: flip each field's top bit.
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * cells, "little")
+    packed = int.from_bytes(data, "little") ^ bias
+    # Fields whose index has bit i clear: the low half for the top bit, and
+    # each finer mask from the one above by a shift and an exclusive or.
+    low = (1 << (width << (size - 1))) - 1
+    for i in reversed(range(size)):
+        shift = width << i
+        step = ((packed & low) - (bias & low)) << shift
+        packed = packed - step if inverse else packed + step
+        if i:
+            low ^= low << (shift >> 1)
+    data = (packed ^ bias).to_bytes(nbytes << size, "little")
+    if code is None:
+        return [
+            int.from_bytes(data[k : k + nbytes], "little", signed=True)
+            for k in range(0, len(data), nbytes)
+        ]
+    out = array(code)
+    out.frombytes(data)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out.tolist()
 
 
 class MassFunction:
@@ -182,11 +224,13 @@ class MassFunction:
         `belief` must assign a value to every one of the ``2^size`` subsets
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
-        by the lattice transform run with ``sub`` on the table's numerators
-        over one denominator, scaled once per distinct denominator.  Raises
-        ValueError for a frame larger than MAX_INVERSION_FRAME, and
-        NotABeliefFunction when the table is not dense, Bel(full) != 1,
-        Bel(empty) != 0, or any inverted mass is negative.
+        by the inverse lattice transform on the table's numerators over one
+        denominator, scaled once per distinct denominator: size
+        packed-integer passes, in fields wide enough for the largest
+        numerator times 2^size plus a sign bit.  Raises ValueError for a
+        frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
+        the table is not dense, Bel(full) != 1, Bel(empty) != 0, or any
+        inverted mass is negative.
         """
         size = frame.size
         if size > MAX_INVERSION_FRAME:
@@ -210,7 +254,7 @@ class MassFunction:
                 f"Bel of the full frame is {format_rational(Fraction(*table[-1]))}, expected 1"
             )
         denominator, table = _over_one_denominator(table)
-        _lattice_transform(table, size, sub)
+        table = _lattice_transform(table, size, inverse=True)
         if table[0] != 0:
             raise NotABeliefFunction(
                 f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
@@ -259,8 +303,7 @@ class MassFunction:
             table = [0] * (1 << size)
             for focal, n in self._numerators.items():
                 table[focal] = n
-            _lattice_transform(table, size, add)
-            self._belief_table = table
+            table = self._belief_table = _lattice_transform(table, size, inverse=False)
         return table[bits]
 
     def belief(self, mask: SubsetMask) -> Fraction:

@@ -90,13 +90,15 @@ def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask,
     if not isinstance(value, dict):
         raise _fail(field, "expected an object keyed by subset strings")
     table: dict[SubsetMask, Fraction] = {}
+    seen: set[int] = set()
     for subset_text, rational in value.items():
         if not isinstance(rational, str):
             raise _fail(_entry(field, subset_text), "expected a rational string such as \"2/3\"")
         try:
             mask = frame.parse_subset(subset_text)
-            if mask in table:
+            if mask.bits in seen:
                 raise ValueError(f"duplicate subset {mask}")
+            seen.add(mask.bits)
             table[mask] = parse_rational(rational)
         except ValueError as err:
             raise _fail(_entry(field, subset_text), str(err)) from None

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import add, sub
 
 from beliefkit import (
     Code,
@@ -157,6 +158,30 @@ def simulation_outcome(run, *args):
         return str(err)
 
 
+def oracle_lattice_transform(table, size, inverse):
+    """Reference zeta transform (Möbius with `inverse`), one cell at a time.
+
+    For bit ``i`` the cells with the bit set are updated from their partners
+    without it, one strided slice per offset inside a block of ``2^(i+1)``
+    cells, or one slice per block, whichever needs fewer slices.  Returns a
+    new list.
+    """
+    op = sub if inverse else add
+    table = list(table)
+    cells = 1 << size
+    for i in range(size):
+        half = 1 << i
+        step = half << 1
+        if half <= cells // step:
+            for hi in range(half, step):
+                table[hi::step] = map(op, table[hi::step], table[hi - half :: step])
+        else:
+            for lo in range(0, cells, step):
+                hi = lo + half
+                table[hi : lo + step] = map(op, table[hi : lo + step], table[lo:hi])
+    return table
+
+
 def as_set_dict(mass: MassFunction):
     """Read a MassFunction into the oracle's frozenset representation."""
     return {frozenset(mask.members): value for mask, value in mass.focal()}
@@ -188,6 +213,25 @@ def mixed_fractions(rng, count):
     """
     large = [d for d in _DIVISORS if d >= 2 * count]
     values = [Fraction(1, rng.choice(large)) for _ in range(count - 1)]
+    values.append(1 - sum(values, Fraction(0)))
+    rng.shuffle(values)
+    return values
+
+
+# Mersenne primes 2^89 - 1 and 2^61 - 1, and three smaller primes.
+_LARGE_PRIMES = ((1 << 89) - 1, (1 << 61) - 1, (1 << 31) - 1, 1_000_000_007, 998_244_353)
+
+
+def prime_fractions(rng, count):
+    """`count` positive fractions summing exactly to 1, over large primes.
+
+    The first is over 2^89 - 1 and the rest but one over random primes of the
+    list, each below ``1 / (2 * count)``; the remainder goes to a random
+    position.  So for `count` of 2 or more the common denominator is past
+    2^64.
+    """
+    primes = [_LARGE_PRIMES[0]] + [rng.choice(_LARGE_PRIMES) for _ in range(count - 2)]
+    values = [Fraction(rng.randint(1, q // (2 * count)), q) for q in primes[: count - 1]]
     values.append(1 - sum(values, Fraction(0)))
     rng.shuffle(values)
     return values

@@ -42,8 +42,10 @@ class TestFrame:
 
     def test_index(self, yn):
         assert yn.index("no") == 1
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(UnknownLabel, match=r"^label 'maybe' is not in frame \{yes,no\}$"):
             yn.index("maybe")
+        with pytest.raises(UnknownLabel, match=r"^label \['no'\] is not in frame"):
+            yn.index(["no"])
 
 
 class TestSubsets:

@@ -17,14 +17,16 @@ from beliefkit import (
     parse_rational,
 )
 
-from beliefkit.mass import MAX_INVERSION_FRAME
+from beliefkit.mass import MAX_INVERSION_FRAME, _lattice_transform
 
 from helpers import (
     as_set_dict,
     mixed_fractions,
     oracle_belief,
+    oracle_lattice_transform,
     oracle_mobius,
     powerset,
+    prime_fractions,
     random_mass,
     wide_frame,
     wide_mass,
@@ -265,6 +267,85 @@ class TestLatticeTransform:
             assert m.belief(mask) == oracle_belief(by_set, subset)
             assert m.plausibility(mask) == 1 - oracle_belief(by_set, frozenset(labels) - subset)
         assert m._belief_table is None
+
+
+def extreme_tables(size, magnitude):
+    """Tables whose transforms reach ``magnitude * 2^size`` in both signs.
+
+    Constant tables do so forward, at the full set, and tables whose sign
+    follows the parity of the subset do so inverted.
+    """
+    cells = range(1 << size)
+    tables = [[magnitude] * (1 << size), [-magnitude] * (1 << size)]
+    for sign in (1, -1):
+        tables.append([sign * magnitude * (-1) ** k.bit_count() for k in cells])
+    return tables
+
+
+class TestPackedTransform:
+    """The packed-integer lattice transform against the per-cell reference,
+    on signed tables and on each side of every field-width boundary."""
+
+    @pytest.mark.parametrize("size", range(1, MAX_INVERSION_FRAME + 1))
+    @pytest.mark.parametrize("inverse", [False, True], ids=["zeta", "mobius"])
+    def test_random_signed_tables(self, size, inverse):
+        rng = random.Random(7000 + size)
+        for bits in (1, 6, 20, 45):
+            table = [rng.randint(-(1 << bits), 1 << bits) for _ in range(1 << size)]
+            expected = oracle_lattice_transform(table, size, inverse)
+            assert _lattice_transform(table, size, inverse) == expected
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_each_side_of_the_width_boundaries(self, width):
+        # A magnitude of bit length width - size - 1 fits fields of `width`
+        # bits; one more bit needs the next width.
+        for size in range(1, min(width - 1, MAX_INVERSION_FRAME + 1)):
+            limit = 1 << (width - size - 1)
+            for magnitude in (limit - 1, limit):
+                for table in extreme_tables(size, magnitude):
+                    for inverse in (False, True):
+                        expected = oracle_lattice_transform(table, size, inverse)
+                        assert _lattice_transform(table, size, inverse) == expected
+
+    @pytest.mark.parametrize("bits", [70, 200])
+    def test_cells_past_64_bits(self, bits):
+        rng = random.Random(bits)
+        for size in range(1, MAX_INVERSION_FRAME + 1):
+            magnitude = (1 << bits) - 1
+            random_table = [rng.randint(-magnitude, magnitude) for _ in range(1 << size)]
+            for table in [random_table, *extreme_tables(size, magnitude)]:
+                for inverse in (False, True):
+                    expected = oracle_lattice_transform(table, size, inverse)
+                    assert _lattice_transform(table, size, inverse) == expected
+
+    @pytest.mark.parametrize("size", [2, 3, 6, 8, 10])
+    def test_round_trip_over_large_prime_denominators(self, size):
+        m = random_mass(
+            random.Random(8000 + size),
+            wide_frame(size),
+            max_focal=24,
+            min_focal=2,
+            fractions=prime_fractions,
+        )
+        assert m._denominator > 1 << 64
+        bel_sets = oracle_tables(m)
+        table = {m.frame.subset(subset): value for subset, value in bel_sets.items()}
+        assert {mask: m.belief(mask) for mask in table} == table
+        inverted = MassFunction.from_belief(m.frame, table)
+        assert as_set_dict(inverted) == oracle_mobius(m.frame.labels, bel_sets)
+        assert inverted == m
+
+    def test_lowest_negative_bitmask_is_named_past_64_bits(self):
+        # As test_lowest_negative_bitmask_is_named, with 1/2 moved to a
+        # 2^89 - 1 denominator: m({a,b}) = m({a,c}) = -h and m({b,c}) = -2h.
+        prime = (1 << 89) - 1
+        h = F(prime // 2, prime)
+        values = {7: F(1), 6: F(0), 5: h, 4: h, 3: h, 2: h, 1: h, 0: F(0)}
+        with pytest.raises(NotABeliefFunction) as caught:
+            MassFunction.from_belief(ABC, abc_table(values))
+        assert str(caught.value) == (
+            f"inversion yields negative mass -{prime // 2}/{prime} on {{a,b}}"
+        )
 
 
 class Half(Fraction):

@@ -440,6 +440,24 @@ class TestBeliefTable:
             parse_belief_table(text)
         assert str(info.value) == "belief['{b,a}']: duplicate subset {a,b}"
 
+    @pytest.mark.parametrize(
+        "key, value, error, message",
+        [
+            ("zz", "x", ModelSyntaxError, "subset must be written in braces, got 'zz'"),
+            ("{a,zz}", "x", UnknownLabel, "label 'zz' is not in frame {a,b}"),
+            ("{b,a}", "x", ModelSyntaxError, "duplicate subset {a,b}"),
+            ("{b}", "1/0", ModelSyntaxError, "zero denominator: '1/0'"),
+        ],
+        ids=["syntax", "unknown-label", "duplicate", "rational"],
+    )
+    def test_entry_checks_run_in_order(self, key, value, error, message):
+        # Each entry is checked for subset syntax, unknown labels, a duplicate
+        # subset and then its rational; the first fault found is reported.
+        text = json.dumps({"frame": ["a", "b"], "belief": {"{a,b}": "1", key: value}})
+        with pytest.raises(error) as info:
+            parse_belief_table(text)
+        assert str(info.value) == f"belief[{key!r}]: {message}"
+
 
 class TestPriorTable:
     def test_parse(self):
