@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
@@ -48,10 +47,8 @@ from .frames import Frame, SubsetMask
 # Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
 MAX_INVERSION_FRAME = 12
 
-# The lattice transform moves cells through signed arrays: their typecodes
-# by item size in bytes, read from the platform, and its byte order.
-_SIGNED_CODES = {array(code).itemsize: code for code in "bhilq"}
-_BIG_ENDIAN = sys.byteorder == "big"
+# The lattice transform's signed struct codes, by standard size in bytes.
+_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -108,8 +105,9 @@ def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
     bit, and past 64 bits a whole number of bytes; no field then ever
     leaves [0, 2^w).  Bit ``i`` is one masked shift-and-add over the whole
     table: the fields without bit ``i``, less their bias, shifted onto
-    their partners with it.  Cells go in and out through an ``array`` of
-    that item size, or through ``int.to_bytes`` per cell past 64 bits.
+    their partners with it.  Cells go in and out through little-endian
+    ``struct`` fields of that standard size, the same on every platform,
+    or through ``int.to_bytes`` per cell past 64 bits.
     """
     cells = 1 << size
     bits = max(max(table), -min(table)).bit_length() + size + 1
@@ -117,13 +115,12 @@ def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
     if nbytes <= 8:
         nbytes = 1 << (nbytes - 1).bit_length()
     width = nbytes * 8
-    code = _SIGNED_CODES.get(nbytes)
+    code = _FIELD_CODES.get(nbytes)
     if code is None:
         data = b"".join([n.to_bytes(nbytes, "little", signed=True) for n in table])
     else:
-        data = array(code, table)
-        if _BIG_ENDIAN:
-            data.byteswap()
+        fields = f"<{cells}{code}"
+        data = struct.pack(fields, *table)
     # Two's complement to offset binary: flip each field's top bit.
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * cells, "little")
     packed = int.from_bytes(data, "little") ^ bias
@@ -142,11 +139,7 @@ def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
             int.from_bytes(data[k : k + nbytes], "little", signed=True)
             for k in range(0, len(data), nbytes)
         ]
-    out = array(code)
-    out.frombytes(data)
-    if _BIG_ENDIAN:
-        out.byteswap()
-    return out.tolist()
+    return list(struct.unpack(fields, data))
 
 
 class MassFunction:
