@@ -41,7 +41,7 @@ from .errors import (
     UnknownMessage,
 )
 from .frames import Frame, SubsetMask, _check_text
-from .mass import MassFunction, format_rational
+from .mass import MassFunction, _over_one_denominator, format_rational
 
 
 def _table_row(indices: Iterable[int], messages: Sequence[str]) -> Sequence[int]:
@@ -175,9 +175,10 @@ class EvidenceModel:
                     f"code {code.name!r} has non-positive probability "
                     f"{format_rational(code.prob)}"
                 )
-        probs = [code.prob for code in self.codes]
-        denominator = math.lcm(*(prob.denominator for prob in probs))
-        total = sum(prob.numerator * (denominator // prob.denominator) for prob in probs)
+        denominator, numerators = _over_one_denominator(
+            [code.prob.as_integer_ratio() for code in self.codes]
+        )
+        total = sum(numerators)
         if total != denominator:
             raise ProbabilitySumError(
                 f"code probabilities sum to {format_rational(Fraction(total, denominator))}, "

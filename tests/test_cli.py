@@ -439,6 +439,22 @@ class TestExitCodes:
             "--prior-file", "x.json",
         )[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["simulate", "M", "--samples", "x", "--seed", "1"],
+             "usage error: argument --samples: expected an integer, got 'x'"),
+            (["bayes", "M", "--odds", "2", "--pair", "{no}", "T", "--prior", "uniform"],
+             "usage error: --odds and prior options are mutually exclusive"),
+            (["bayes", "M", "--odds", "2", "--pair", "{no}", "T", "--prior-file", "x.json"],
+             "usage error: --odds and prior options are mutually exclusive"),
+        ],
+        ids=["non-integer-samples", "odds-with-prior", "odds-with-prior-file"],
+    )
+    def test_usage_error_lines(self, capsys, example1_path, argv, line):
+        argv = [example1_path if token == "M" else token for token in argv]
+        assert run(capsys, *argv) == (2, "", line + "\n")
+
     def test_no_observed_and_no_flag_is_usage_error(self, capsys, tmp_path):
         doc = {
             "frame": ["a"],
@@ -739,6 +755,109 @@ def argv_files(tmp_path_factory, example1_path, example2_path):
 @given(argv=ARGVS)
 def test_every_argv_ends_in_a_status_and_at_most_one_diagnostic_line(argv_files, argv):
     argv = [argv_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(argv)
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
+
+# Documents for the file arguments: arbitrary bytes, or a valid document of
+# the argument's kind (a bundled model, a belief table, a prior) with a few
+# random edits, each replacing, deleting or renaming one entry at any depth
+# with arbitrary JSON or with labels, subsets and rationals that are nearly
+# valid (a lone surrogate among them).
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+LABELS = st.sampled_from(["yes", "no", "maybe", "BANANA", "KIWI", "\ud800"]) | st.text(max_size=3)
+SUBSETS = st.builds("{{{}}}".format, st.lists(LABELS, max_size=3).map(",".join))
+RATIONALS = st.sampled_from(["1", "0", "1/2", "1/3", "2/3", "-1/3", "1/0", "0.5", "1/3\n"])
+ENTRIES = LABELS | SUBSETS | RATIONALS | ANY_JSON
+with open(bundled_model_path("example2"), encoding="utf-8") as _handle:
+    BASES = {
+        "model": json.load(_handle),
+        "belief": {
+            "frame": ["yes", "no"],
+            "belief": {"{}": "0", "{yes}": "0", "{no}": "2/3", "{yes,no}": "1"},
+        },
+        "prior": {"weights": {"{yes}": "1/3", "{no}": "1/3", "{yes,no}": "1/3"}},
+    }
+
+
+@st.composite
+def edited_documents(draw, kind):
+    doc = json.loads(json.dumps(BASES[kind]))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            edit = draw(st.sampled_from(["replace", "delete", "rename"]))
+            if edit == "replace":
+                node[key] = draw(ENTRIES)
+            elif edit == "delete" or isinstance(node, list):
+                del node[key]
+            else:
+                node[draw(SUBSETS | LABELS)] = node.pop(key)
+            break
+        if not node:
+            break
+    return json.dumps(doc).encode()
+
+
+# every file argument of every subcommand, with the kind of document it
+# takes: "D" is the drawn document, "M" the first bundled model and
+# "MESSAGE" a drawn message
+FILE_ARGVS = [
+    ("model", ["derive", "D"]),
+    ("model", ["derive", "D", "--message", "MESSAGE"]),
+    ("belief", ["derive", "--from-belief", "D"]),
+    ("model", ["combine", "D", "M", "--message1", "MESSAGE"]),
+    ("model", ["combine", "M", "D", "--message2", "MESSAGE", "--method", "product"]),
+    ("model", ["bayes", "D", "--message", "MESSAGE"]),
+    ("prior", ["bayes", "M", "--prior-file", "D"]),
+    ("model", ["factors", "D", "--message", "MESSAGE", "--pair", "{no}", "T"]),
+    ("model", ["williams", "D", "--message", "MESSAGE"]),
+    ("model", ["simulate", "D", "--message", "MESSAGE", "--samples", "20", "--seed", "1"]),
+    ("prior", ["simulate", "M", "--samples", "20", "--seed", "1", "--prior-file", "D"]),
+    ("model", ["validate", "D"]),
+]
+
+
+@st.composite
+def file_cases(draw):
+    kind, argv = draw(st.sampled_from(FILE_ARGVS))
+    document = draw(st.binary(max_size=48) | edited_documents(kind))
+    message = draw(st.sampled_from(["BANANA", "APPLE"]) | LABELS)
+    return argv, document, message
+
+
+@pytest.fixture(scope="module")
+def drawn_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "document.json"
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(case=file_cases(), form=st.sampled_from(["text", "machine"]))
+def test_every_document_ends_in_a_status_and_at_most_one_diagnostic_line(
+    drawn_path, example1_path, case, form
+):
+    argv, document, message = case
+    drawn_path.write_bytes(document)
+    files = {"D": str(drawn_path), "M": example1_path, "MESSAGE": message}
+    argv = [files.get(token, token) for token in argv] + ["--format", form]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = run_command(argv)

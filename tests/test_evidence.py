@@ -294,3 +294,28 @@ class TestModelValidation:
                 (TOP,),
                 (Code("s", F(1), {TOP: "APPLE"}),),
             )
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (lambda: Code("", F(1), {TOP: "APPLE"}), ValueError,
+             "code name must be a non-empty string, got ''"),
+            (lambda: Code(7, F(1), {TOP: "APPLE"}), ValueError,
+             "code name must be a non-empty string, got 7"),
+            (lambda: Code("s", 0.5, {TOP: "APPLE"}), TypeError,
+             "code probability must be a Fraction, got 0.5"),
+            (lambda: EvidenceModel(YN, ("APPLE", ""), (TOP,), (Code("s", F(1), {TOP: "APPLE"}),)),
+             ValueError, "message labels must be non-empty strings"),
+            (lambda: EvidenceModel(YN, ("APPLE", 7), (TOP,), (Code("s", F(1), {TOP: "APPLE"}),)),
+             ValueError, "message labels must be non-empty strings"),
+            (lambda: EvidenceModel(YN, ("APPLE",), (), ()), ValueError,
+             "the plaintext domain must be non-empty"),
+        ],
+        ids=["empty-code-name", "non-string-code-name", "float-probability",
+             "empty-message-label", "non-string-message-label", "empty-domain"],
+    )
+    def test_constructor_diagnostics(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error
+        assert str(err.value) == message

@@ -101,6 +101,20 @@ class TestSubsets:
             yn.parse_subset("yes,no")
 
 
+    @pytest.mark.parametrize(
+        "bits,message",
+        [
+            (4, "bits 0x4 out of range for a frame of size 2"),
+            (-1, "bits -0x1 out of range for a frame of size 2"),
+        ],
+        ids=["past-the-frame", "negative"],
+    )
+    def test_mask_bits_out_of_range(self, yn, bits, message):
+        with pytest.raises(ValueError) as err:
+            SubsetMask(yn, bits)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
 class TestEnumeration:
     def test_order_over_full_frame(self, yn):
         got = [mask.members for mask in yn.full().subsets()]

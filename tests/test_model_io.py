@@ -280,6 +280,40 @@ class TestParseModel:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: ["frame"], "document must be a JSON object"),
+            (lambda doc: {**doc, "plaintexts": "{yes}"}, "plaintexts: expected a list of subsets"),
+            (lambda doc: {**doc, "codes": {}}, "codes: expected a list of code records"),
+            (lambda doc: {**doc, "codes": [["s1"]]},
+             "codes[0]: expected an object with name, prob, map"),
+            (lambda doc: {**doc, "codes": [doc["codes"][0], {**doc["codes"][1], "weight": 1}]},
+             "codes[1]: unknown field 'weight'"),
+            (lambda doc: {**doc, "codes": [{"name": "s1", "prob": "1"}]},
+             "codes[0]: missing field 'map'"),
+            (lambda doc: {**doc, "codes": [{**doc["codes"][0], "name": ""}]},
+             "codes[0].name: expected a non-empty string"),
+            (lambda doc: {**doc, "codes": [{**doc["codes"][0], "name": 7}]},
+             "codes[0].name: expected a non-empty string"),
+            (lambda doc: {**doc, "codes": [{**doc["codes"][0], "prob": 0.5}]},
+             'codes[0].prob: expected a rational string such as "2/3"'),
+            (lambda doc: {**doc, "codes": [{**doc["codes"][0], "map": []}]},
+             "codes[0].map: expected an object keyed by subset strings"),
+        ],
+        ids=[
+            "document-not-an-object", "plaintexts-not-a-list", "codes-not-a-list",
+            "code-not-an-object", "unknown-code-field", "missing-code-field", "empty-name",
+            "non-string-name", "non-string-prob", "map-not-an-object",
+        ],
+    )
+    def test_document_shape_faults_name_their_field(self, edit, message):
+        doc = edit(json.loads(spy_document()))
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(json.dumps(doc))
+        assert type(err.value) is ModelSyntaxError
+        assert str(err.value) == message
+
     def test_keys_shared_by_codes_parse_to_equal_masks(self):
         doc = json.loads(spy_document())
         spell_full_set_no_yes(doc)
@@ -428,6 +462,22 @@ class TestBeliefTable:
     def test_rejections(self, doc):
         with pytest.raises(ModelSyntaxError):
             parse_belief_table(doc)
+
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (parse_belief_table, '{"frame": ["a"], "belief": ["{a}", "1"]}',
+             "belief: expected an object keyed by subset strings"),
+            (lambda text: parse_prior_table(text, YN), '{"weights": "{no}"}',
+             "weights: expected an object keyed by subset strings"),
+        ],
+        ids=["belief", "prior"],
+    )
+    def test_table_that_is_not_an_object(self, parse, text, message):
+        with pytest.raises(ModelSyntaxError) as info:
+            parse(text)
+        assert type(info.value) is ModelSyntaxError
+        assert str(info.value) == message
 
     def test_duplicate_subset_rejected(self):
         text = json.dumps(
