@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from beliefkit import Frame, SubsetMask, bundled_model_path, format_rational
+from beliefkit import Frame, SubsetMask, bundled_model_path, format_rational, serialize_model
 from beliefkit.cli import run_command
 
 from helpers import (
@@ -55,30 +55,13 @@ def _write(name: str, doc: object) -> str:
     return name
 
 
-def _model_document(model) -> dict:
-    return {
-        "frame": list(model.frame.labels),
-        "messages": list(model.messages),
-        "plaintexts": [list(mask.members) for mask in model.plaintexts],
-        "codes": [
-            {
-                "name": code.name,
-                "prob": format_rational(code.prob),
-                "map": {str(mask): label for mask, label in code.codebook.items()},
-            }
-            for code in model.codes
-        ],
-    }
-
-
 def _belief_document(mass) -> dict:
     """The dense Bel table of `mass`, by the reference transform of ``helpers``."""
-    frame = mass.frame
-    focal = dict((mask.bits, value) for mask, value in mass.focal())
-    denominator = lcm(*(value.denominator for value in focal.values()))
+    frame, focal = mass.frame, mass.focal()
+    denominator = lcm(*(value.denominator for _, value in focal))
     table = [0] * (1 << frame.size)
-    for bits, value in focal.items():
-        table[bits] = value.numerator * (denominator // value.denominator)
+    for mask, value in focal:
+        table[mask.bits] = int(value * denominator)
     table = oracle_lattice_transform(table, frame.size, inverse=False)
     return {
         "frame": list(frame.labels),
@@ -91,6 +74,7 @@ def _belief_document(mass) -> dict:
 
 def _model_argvs(rng: random.Random, name: str, model, prior: str) -> list[list[str]]:
     message = producible_message(rng, model)
+    # drawn from the domain twice over, so a one-plaintext domain gives a pair
     first, second = (str(mask) for mask in rng.sample(model.plaintexts * 2, 2))
     observed = ["--message", message]
     seed = str(rng.randrange(1000))
@@ -119,7 +103,8 @@ def _inputs_and_argvs() -> list[tuple[list[str], str]]:
         pair = []
         for j in range(2):
             model = random_model(rng, frame, max_codes=6, fractions=fractions)
-            name = _write(f"model{i}{j}.json", _model_document(model))
+            name = f"model{i}{j}.json"
+            Path(name).write_text(serialize_model(model), encoding="utf-8")
             weights = fractions(rng, len(model.plaintexts))
             prior = _write(
                 f"prior{i}{j}.json",

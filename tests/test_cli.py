@@ -797,6 +797,8 @@ with open(bundled_model_path("example2"), encoding="utf-8") as _handle:
 def edited_documents(draw, kind):
     doc = json.loads(json.dumps(BASES[kind]))
     for _ in range(draw(st.integers(0, 3))):
+        if not doc:
+            break
         node = doc
         while True:
             key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
@@ -811,8 +813,6 @@ def edited_documents(draw, kind):
                 del node[key]
             else:
                 node[draw(SUBSETS | LABELS)] = node.pop(key)
-            break
-        if not node:
             break
     return json.dumps(doc).encode()
 
