@@ -782,15 +782,14 @@ LABELS = st.sampled_from(["yes", "no", "maybe", "BANANA", "KIWI", "\ud800"]) | s
 SUBSETS = st.builds("{{{}}}".format, st.lists(LABELS, max_size=3).map(",".join))
 RATIONALS = st.sampled_from(["1", "0", "1/2", "1/3", "2/3", "-1/3", "1/0", "0.5", "1/3\n"])
 ENTRIES = LABELS | SUBSETS | RATIONALS | ANY_JSON
-with open(bundled_model_path("example2"), encoding="utf-8") as _handle:
-    BASES = {
-        "model": json.load(_handle),
-        "belief": {
-            "frame": ["yes", "no"],
-            "belief": {"{}": "0", "{yes}": "0", "{no}": "2/3", "{yes,no}": "1"},
-        },
-        "prior": {"weights": {"{yes}": "1/3", "{no}": "1/3", "{yes,no}": "1/3"}},
-    }
+BASES = {
+    "model": json.loads(bundled_model_path("example2").read_text(encoding="utf-8")),
+    "belief": {
+        "frame": ["yes", "no"],
+        "belief": {"{}": "0", "{yes}": "0", "{no}": "2/3", "{yes,no}": "1"},
+    },
+    "prior": {"weights": {"{yes}": "1/3", "{no}": "1/3", "{yes,no}": "1/3"}},
+}
 
 
 @st.composite
