@@ -134,7 +134,10 @@ def likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fra
     Codes are chosen independently of the plaintext, so this is the total
     prior probability of the codes encoding `plaintext` to `message`.
     """
-    likelihoods = _likelihoods(model, message)
+    return _likelihood_in(_likelihoods(model, message), plaintext)
+
+
+def _likelihood_in(likelihoods: dict[SubsetMask, Fraction], plaintext: SubsetMask) -> Fraction:
     if plaintext not in likelihoods:
         raise UnknownPlaintext(f"{plaintext} is not in the plaintext domain")
     return likelihoods[plaintext]
@@ -174,8 +177,9 @@ def bayes_factor(
     model: EvidenceModel, message: str, first: SubsetMask, second: SubsetMask
 ) -> Fraction:
     """Likelihood ratio of `first` to `second`; multiplies prior into posterior odds."""
-    top = likelihood(model, first, message)
-    bottom = likelihood(model, second, message)
+    likelihoods = _likelihoods(model, message)
+    top = _likelihood_in(likelihoods, first)
+    bottom = _likelihood_in(likelihoods, second)
     if bottom == 0:
         if top == 0:
             raise UndefinedOdds(f"both {first} and {second} have zero likelihood")

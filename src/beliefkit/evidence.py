@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import (
     CodeNotPossible,
@@ -42,11 +42,6 @@ from .errors import (
 )
 from .frames import Frame, SubsetMask, _check_text
 from .mass import MassFunction, _over_one_denominator, format_rational
-
-
-def _table_row(indices: Iterable[int], messages: Sequence[str]) -> Sequence[int]:
-    """A row of a model's table: a byte per plaintext while every message index fits."""
-    return bytes(indices) if len(messages) <= 256 else tuple(indices)
 
 
 @dataclass(frozen=True, eq=True)
@@ -73,7 +68,7 @@ class Code:
 
     @classmethod
     def _from_row(
-        cls, name: str, prob: Fraction, plaintexts: tuple, messages: tuple, row: Sequence[int]
+        cls, name: str, prob: Fraction, plaintexts: tuple, messages: tuple, row: tuple
     ) -> Code:
         """The code sending ``plaintexts[p]`` to ``messages[row[p]]``."""
         code = cls.__new__(cls)
@@ -196,30 +191,28 @@ class EvidenceModel:
         if own is not None and own[0] is self.plaintexts and own[1] is self.messages:
             return own[2]  # read from a document against this domain and alphabet
         codebook = code.codebook
+        # keys in domain order, as builders write them, are read unhashed
+        if tuple(codebook) == self.plaintexts:
+            labels = codebook.values()
+        else:
+            keys, domain = set(codebook), set(self.plaintexts)
+            if keys != domain:
+                missing = sorted(str(m) for m in domain - keys)
+                extra = sorted(str(m) for m in keys - domain)
+                detail = []
+                if missing:
+                    detail.append(f"missing {', '.join(missing)}")
+                if extra:
+                    detail.append(f"extra {', '.join(extra)}")
+                raise IncompleteCodebook(
+                    f"code {code.name!r} must cover exactly the plaintext domain: "
+                    + "; ".join(detail)
+                )
+            labels = [codebook[mask] for mask in self.plaintexts]
         try:
-            # keys in domain order, as builders write them, are read unhashed
-            if tuple(codebook) == self.plaintexts:
-                labels = codebook.values()
-            else:
-                labels = [codebook[mask] for mask in self.plaintexts]
-            row = _table_row(map(index.__getitem__, labels), self.messages)
-            if len(codebook) == len(self.plaintexts):
-                return row
+            return tuple(map(index.__getitem__, labels))
         except (KeyError, TypeError):
             pass
-        keys, domain = set(codebook), set(self.plaintexts)
-        if keys != domain:
-            missing = sorted(str(m) for m in domain - keys)
-            extra = sorted(str(m) for m in keys - domain)
-            detail = []
-            if missing:
-                detail.append(f"missing {', '.join(missing)}")
-            if extra:
-                detail.append(f"extra {', '.join(extra)}")
-            raise IncompleteCodebook(
-                f"code {code.name!r} must cover exactly the plaintext domain: "
-                + "; ".join(detail)
-            )
         for mask, label in codebook.items():
             if label not in self.messages:
                 raise UnknownMessage(
@@ -227,8 +220,7 @@ class EvidenceModel:
                     f"which is not in the message alphabet"
                 )
         # every label equals a message, but one does not hash like it
-        indices = [self.messages.index(codebook[mask]) for mask in self.plaintexts]
-        return _table_row(indices, self.messages)
+        return tuple(map(self.messages.index, labels))
 
     def _message_index(self, message: str) -> int:
         """Position of `message` in ``messages``; raises UnknownMessage if absent."""

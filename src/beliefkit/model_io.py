@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ModelSyntaxError, UnknownLabel
 from .frames import Frame, SubsetMask
 from .mass import MAX_INVERSION_FRAME, format_rational, parse_rational
-from .evidence import Code, EvidenceModel, _table_row
+from .evidence import Code, EvidenceModel
 from .bayes import PriorSpec
 
 _MODEL_FIELDS = ("frame", "messages", "plaintexts", "codes", "observed")
@@ -69,13 +69,18 @@ def _decode_object(text: str, fields: tuple[str, ...], required: tuple[str, ...]
     doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise ModelSyntaxError("document must be a JSON object")
-    for key in doc:
-        if key not in fields:
-            raise ModelSyntaxError(f"unknown field {key!r}")
-    for key in required:
-        if key not in doc:
-            raise ModelSyntaxError(f"missing field {key!r}")
+    _check_fields(doc, fields, required)
     return doc
+
+
+def _check_fields(record: dict, fields: tuple, required: tuple, context: str = "") -> None:
+    """Reject the first key of `record` not in `fields`, else the first of `required` it lacks."""
+    for key in record:
+        if key not in fields:
+            raise ModelSyntaxError(f"{context}unknown field {key!r}")
+    for key in required:
+        if key not in record:
+            raise ModelSyntaxError(f"{context}missing field {key!r}")
 
 
 def _parse_frame(value: object) -> Frame:
@@ -83,6 +88,21 @@ def _parse_frame(value: object) -> Frame:
         return Frame(tuple(_string_list(value, "frame")))
     except ValueError as err:
         raise _fail("frame", str(err)) from None
+
+
+def _entry(field: str, subset_text: str) -> str:
+    """Context of one subset-keyed entry, built only when it is reported."""
+    return f"{field}[{subset_text!r}]"
+
+
+def _parse_key(frame: Frame, field: str, subset_text: str) -> SubsetMask:
+    """The subset a key of `field` names; a fault carries the entry's context."""
+    try:
+        return frame.parse_subset(subset_text)
+    except ValueError as err:
+        raise _fail(_entry(field, subset_text), str(err)) from None
+    except UnknownLabel as err:
+        raise UnknownLabel(f"{_entry(field, subset_text)}: {err}") from None
 
 
 def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask, Fraction]:
@@ -94,16 +114,14 @@ def _rational_table(frame: Frame, value: object, field: str) -> dict[SubsetMask,
     for subset_text, rational in value.items():
         if not isinstance(rational, str):
             raise _fail(_entry(field, subset_text), "expected a rational string such as \"2/3\"")
+        mask = _parse_key(frame, field, subset_text)
+        if mask.bits in seen:
+            raise _fail(_entry(field, subset_text), f"duplicate subset {mask}")
+        seen.add(mask.bits)
         try:
-            mask = frame.parse_subset(subset_text)
-            if mask.bits in seen:
-                raise ValueError(f"duplicate subset {mask}")
-            seen.add(mask.bits)
             table[mask] = parse_rational(rational)
         except ValueError as err:
             raise _fail(_entry(field, subset_text), str(err)) from None
-        except UnknownLabel as err:
-            raise UnknownLabel(f"{_entry(field, subset_text)}: {err}") from None
     return table
 
 
@@ -141,12 +159,7 @@ def parse_model(text: str) -> EvidenceModel:
         field = f"codes[{i}]"
         if not isinstance(record, dict):
             raise _fail(field, "expected an object with name, prob, map")
-        for key in record:
-            if key not in _CODE_FIELDS:
-                raise _fail(field, f"unknown field {key!r}")
-        for key in _CODE_FIELDS:
-            if key not in record:
-                raise _fail(field, f"missing field {key!r}")
+        _check_fields(record, _CODE_FIELDS, _CODE_FIELDS, f"{field}: ")
         name = record["name"]
         if not isinstance(name, str) or not name:
             raise _fail(f"{field}.name", "expected a non-empty string")
@@ -167,12 +180,7 @@ def parse_model(text: str) -> EvidenceModel:
                 raise _fail(_entry(map_field, subset_text), "expected a message label string")
             key = keys.get(subset_text)
             if key is None:
-                try:
-                    bits = frame.parse_subset(subset_text).bits
-                except ValueError as err:
-                    raise _fail(_entry(map_field, subset_text), str(err)) from None
-                except UnknownLabel as err:
-                    raise UnknownLabel(f"{_entry(map_field, subset_text)}: {err}") from None
+                bits = _parse_key(frame, map_field, subset_text).bits
                 key = keys[subset_text] = bits, position.get(bits)
             bits, p = key
             if not bits:
@@ -196,9 +204,7 @@ def parse_model(text: str) -> EvidenceModel:
                 codebook = {SubsetMask(frame, keys[t][0]): label for t, label in book.items()}
                 codes.append(Code(name, prob, codebook))
             else:
-                codes.append(
-                    Code._from_row(name, prob, plaintexts, messages, _table_row(row, messages))
-                )
+                codes.append(Code._from_row(name, prob, plaintexts, messages, tuple(row)))
         except ValueError as err:
             raise _fail(f"{field}.name", str(err)) from None
 
@@ -210,11 +216,6 @@ def parse_model(text: str) -> EvidenceModel:
         return EvidenceModel(frame, messages, plaintexts, tuple(codes), observed)
     except ValueError as err:
         raise ModelSyntaxError(str(err)) from None
-
-
-def _entry(field: str, subset_text: str) -> str:
-    """Context of one subset-keyed entry, built only when it is reported."""
-    return f"{field}[{subset_text!r}]"
 
 
 def serialize_model(model: EvidenceModel) -> str:

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import beliefkit
 from beliefkit import bundled_model_path
 from beliefkit import cli
 from beliefkit.cli import run_command
@@ -411,6 +416,22 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ModelSyntaxError")
+
+    def test_module_entry_point_matches_run_command(self, capsys, example1_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(beliefkit.__file__).resolve().parents[1])}
+        argvs = [
+            ["derive", example1_path, "--message", "BANANA"],
+            ["derive", example1_path, "--message", "KIWI"],
+            ["bayes", example1_path, "--pair", "{no}", "T"],
+        ]
+        statuses = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-m", "beliefkit", *argv], env=env, capture_output=True, text=True
+            )
+            assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+            statuses.append(done.returncode)
+        assert statuses == [0, 1, 2]
 
     def test_observed_field_supplies_message(self, capsys, example1_path):
         status, out, _ = run(capsys, "derive", example1_path)

@@ -36,6 +36,13 @@ YES = YN.subset(["yes"])
 TOP = YN.full()
 
 
+class OddHash(str):
+    """A label equal to its plain ``str`` but hashing unlike it."""
+
+    def __hash__(self):
+        return hash(str(self)) + 1
+
+
 def relation_sets(relation):
     return {(name, frozenset(mask.members)) for name, mask in relation.pairs}
 
@@ -250,6 +257,24 @@ class TestModelValidation:
         codes = (Code("s", F(1), self.codebook()),)
         with pytest.raises(UnknownMessage):
             EvidenceModel(YN, ("APPLE", "BANANA"), (YES, NO, TOP), codes)
+
+    @pytest.mark.parametrize(
+        "order", [(YES, NO, TOP), (TOP, NO, YES)], ids=["domain-order", "reversed"]
+    )
+    def test_label_that_hashes_unlike_its_message(self, order):
+        messages, domain = ("APPLE", "BANANA", "CHERRY"), (YES, NO, TOP)
+        codebook = self.codebook()
+        odd = {mask: OddHash(codebook[mask]) for mask in order}
+        plain = EvidenceModel(YN, messages, domain, (Code("s", F(1), codebook),))
+        model = EvidenceModel(YN, messages, domain, (Code("s", F(1), odd),))
+        assert model._rows == plain._rows == ((0, 1, 2),)
+        assert model.derive_mass("BANANA") == plain.derive_mass("BANANA")
+
+    def test_missing_code_attribute(self, example1):
+        for code in (Code("s", F(1), self.codebook()), example1.codes[0]):
+            with pytest.raises(AttributeError) as err:
+                code.colour
+            assert str(err.value) == "colour"
 
     def test_observed_outside_alphabet(self):
         codes = (Code("s", F(1), self.codebook()),)

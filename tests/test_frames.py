@@ -40,6 +40,10 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(labels)
 
+    def test_not_equal_to_another_type(self, yn):
+        assert yn.__eq__(("yes", "no")) is NotImplemented
+        assert yn != ("yes", "no")
+
     def test_index(self, yn):
         assert yn.index("no") == 1
         with pytest.raises(UnknownLabel, match=r"^label 'maybe' is not in frame \{yes,no\}$"):
@@ -91,6 +95,11 @@ class TestSubsets:
         assert "no" in no and "yes" not in no
         with pytest.raises(UnknownLabel):
             "maybe" in no
+
+    def test_iteration_and_repr(self, yn):
+        assert list(yn.full()) == ["yes", "no"]
+        assert list(yn.empty()) == []
+        assert repr(yn.subset(["no"])) == "SubsetMask({no})"
 
     def test_str_and_parse_round_trip(self, yn):
         for mask in yn.full().subsets():

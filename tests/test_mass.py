@@ -135,6 +135,18 @@ class TestBeliefInversion:
         }
         assert MassFunction.from_belief(YN, bel) == spy_mass()
 
+    def test_inverted_mass_equals_and_hashes_like_the_derived_one(self, example1):
+        derived = example1.derive_mass("BANANA")
+        bel = {mask: derived.belief(mask) for mask in TOP.subsets()}
+        inverted = MassFunction.from_belief(YN, bel)
+        assert inverted is not derived
+        assert inverted == derived == spy_mass()
+        assert hash(inverted) == hash(derived)
+        assert len({derived, inverted, spy_mass()}) == 1
+        assert repr(inverted) == "MassFunction<m({no}) = 2/3; m({yes,no}) = 1/3>"
+        assert derived.__eq__(bel) is NotImplemented
+        assert derived != bel
+
     def test_indicator_of_full_frame_is_vacuous(self):
         bel = {mask: F(1) if mask == TOP else F(0) for mask in TOP.subsets()}
         assert MassFunction.from_belief(YN, bel) == MassFunction.vacuous(YN)

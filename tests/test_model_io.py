@@ -357,7 +357,7 @@ class TestSerializeModel:
                     )
 
     def test_alphabets_past_one_byte_of_message_index(self):
-        # past 256 messages a row of the model's table no longer fits in bytes
+        # the suite's only alphabet past 256 messages, where an index needs more than a byte
         rng = random.Random(2560)
         for trial in range(6):
             built = random_model(
