@@ -5,16 +5,17 @@ the Bayesian route places a prior over the plaintext subsets themselves and
 conditions on the full evidence.  Codes are chosen independently of the
 plaintext, so the likelihood of a plaintext is the total probability of the
 codes that encode it to the observed message.  Both routes read one record,
-the message's constraining relation, built once per model: the plaintexts
-each possible code decodes to and its integer weight over a common
-denominator.  The belief route divides the weights by their sum, this one
-sums them per plaintext over the denominator.  Everything
-here is exact rational arithmetic except :func:`simulate`, which is the
-Monte Carlo cross-check of the generative story.  It draws the seeded
-stream in fixed-size chunks and makes whole-chunk passes over each: every
-draw is placed among precomputed cuts by a bisection, each trial's
-(plaintext, code) pair is tallied as one integer key, and the model's
-table is read once per distinct key to decide acceptance.
+the message's constraining relation, which the model builds on the first
+request for that message and keeps: the plaintexts each possible code
+decodes to and its integer weight over a common denominator.  The belief
+route divides the weights by their sum, this one sums them per plaintext
+over the denominator.  Everything here is exact rational arithmetic except
+:func:`simulate`, which is the Monte Carlo cross-check of the generative
+story.  It draws the seeded stream in fixed-size chunks and makes
+whole-chunk passes over each: every draw is placed among precomputed cuts
+by a bisection, each trial's (plaintext, code) pair is tallied as one
+integer key, and the model's table is read once per distinct key to decide
+acceptance.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ class PriorSpec:
     @classmethod
     def from_odds(cls, odds: Fraction, first: SubsetMask, second: SubsetMask) -> PriorSpec:
         """Two-point prior with weights in ratio ``odds : 1`` on (first, second)."""
-        odds = exact(odds)
-        if odds <= 0:
-            raise InvalidPrior(f"prior odds must be positive, got {format_rational(odds)}")
+        odds = _positive_odds(odds)
         if first == second:
             raise InvalidPrior("the two plaintexts of an odds prior must differ")
         return cls({first: odds / (odds + 1), second: Fraction(1) / (odds + 1)})
@@ -195,12 +194,15 @@ def posterior_odds(
     prior_odds: Fraction,
 ) -> Fraction:
     """Posterior odds of `first` to `second` given prior odds ``prior_odds : 1``."""
-    prior_odds = exact(prior_odds)
-    if prior_odds <= 0:
-        raise InvalidPrior(
-            f"prior odds must be positive, got {format_rational(prior_odds)}"
-        )
-    return prior_odds * bayes_factor(model, message, first, second)
+    return _positive_odds(prior_odds) * bayes_factor(model, message, first, second)
+
+
+def _positive_odds(odds: Fraction) -> Fraction:
+    """`odds` as an exact rational; raises InvalidPrior unless it is positive."""
+    odds = exact(odds)
+    if odds <= 0:
+        raise InvalidPrior(f"prior odds must be positive, got {format_rational(odds)}")
+    return odds
 
 
 def williams_check(model: EvidenceModel, message: str) -> WilliamsReport:

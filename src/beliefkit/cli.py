@@ -254,7 +254,7 @@ def _cmd_bayes(args: argparse.Namespace) -> dict:
             raise _UsageError("--odds and prior options are mutually exclusive")
         first, second = _pair(model.frame, args.pair)
         factor = bayes_ops.bayes_factor(model, message, first, second)
-        odds = bayes_ops.posterior_odds(model, message, first, second, args.odds)
+        odds = bayes_ops._positive_odds(args.odds) * factor
         return {
             **header,
             "pair": [str(first), str(second)],

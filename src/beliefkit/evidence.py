@@ -13,8 +13,9 @@ A model holds its encoding as one table, built once by the constructor:
 one row per code, holding for each position in ``plaintexts`` the index of
 the message the code sends that plaintext to.  A code the document parser
 builds carries its row, checked as it was read, and builds its ``codebook``
-dict only when asked.  The relations are built once per model, in one lazy
-pass over the table that serves every message.  Each
+dict only when asked.  A message's relation is built on its first request,
+from the rows that send some plaintext to it, and kept by the model for
+every later one; no other message's relation is built.  Each
 :class:`ConstrainingRelation` is one record: what every possible code
 decodes the message to, and each such code's prior probability as an
 integer weight over one common denominator.  The belief route here and the
@@ -27,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Mapping
 
@@ -184,6 +186,7 @@ class EvidenceModel:
                 f"observed message {self.observed!r} is not in the alphabet"
             )
         object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_relations", {})  # message index -> its relation
 
     def _row_of(self, code: Code, index: dict[str, int]) -> tuple[int, ...]:
         """The code's row of the table; raises its codebook's first fault."""
@@ -235,34 +238,24 @@ class EvidenceModel:
     def constraining_relation(self, message: str) -> ConstrainingRelation:
         """All (code, plaintext) pairs whose encoding equals `message`.
 
-        The relation is built once per model and shared by every call.
+        Each message's relation is built on its first call, from the codes
+        whose row sends some plaintext to it, and shared by every later call.
         """
-        self._message_index(message)
-        return self._relations[message]
-
-    @cached_property
-    def _relations(self) -> dict[str, ConstrainingRelation]:
-        # decoded[m][c]: the plaintext positions code c sends to message m
-        decoded: list[dict[int, list[int]]] = [{} for _ in self.messages]
-        for c, row in enumerate(self._rows):
-            for p, m in enumerate(row):
-                decoded[m].setdefault(c, []).append(p)
-        plaintexts = self.plaintexts
-        names = [code.name for code in self.codes]
-        numerators = [code.prob.numerator for code in self.codes]
-        denominators = [code.prob.denominator for code in self.codes]
-        relations = {}
-        for message, by_code in zip(self.messages, decoded):
-            denominator = math.lcm(*map(denominators.__getitem__, by_code))
-            relations[message] = ConstrainingRelation(
-                {
-                    names[c]: tuple(map(plaintexts.__getitem__, positions))
-                    for c, positions in by_code.items()
-                },
-                {names[c]: numerators[c] * (denominator // denominators[c]) for c in by_code},
-                denominator,
-            )
-        return relations
+        m = self._message_index(message)
+        if m not in self._relations:
+            decoded, probs = {}, []
+            for code, row in zip(self.codes, self._rows):
+                masks = tuple(compress(self.plaintexts, map(m.__eq__, row)))
+                if masks:
+                    decoded[code.name] = masks
+                    probs.append(code.prob)
+            denominator = math.lcm(*(prob.denominator for prob in probs))
+            weights = {
+                name: prob.numerator * (denominator // prob.denominator)
+                for name, prob in zip(decoded, probs)
+            }
+            self._relations[m] = ConstrainingRelation(decoded, weights, denominator)
+        return self._relations[m]
 
     def derive_mass(self, message: str) -> MassFunction:
         """Belief function induced by observing `message`.

@@ -245,16 +245,20 @@ def load_model(path: str | Path) -> EvidenceModel:
 
 def validate_model(model: EvidenceModel) -> list[str]:
     """Warnings about a structurally valid model; empty means clean."""
-    messages, plaintexts = model.messages, model.plaintexts
-    findings = []
+    messages = model.messages
+    keys = [str(mask) for mask in model.plaintexts]
+    findings: list[str] = []
+    emitted: set[int] = set()
     for code, row in zip(model.codes, model._rows):
-        for m, message in enumerate(messages):
-            hits = [str(mask) for mask, sent in zip(plaintexts, row) if sent == m]
-            if len(hits) > 1:
-                findings.append(
-                    f"code {code.name} non-injective on {message}: {', '.join(hits)}"
-                )
-    emitted = set().union(*model._rows)
+        sent: dict[int, list[str]] = {}  # message index -> the plaintexts sent to it
+        for key, m in zip(keys, row):
+            sent.setdefault(m, []).append(key)
+        emitted.update(sent)
+        findings.extend(
+            f"code {code.name} non-injective on {messages[m]}: {', '.join(hits)}"
+            for m, hits in sorted(sent.items())
+            if len(hits) > 1
+        )
     for m, message in enumerate(messages):
         if m not in emitted:
             findings.append(f"message {message} emitted by no code")

@@ -13,9 +13,17 @@ from beliefkit import (
     Frame,
     FrameMismatch,
     IncompleteCodebook,
+    PriorSpec,
     ProbabilitySumError,
     TotalConflict,
     UnknownMessage,
+    bayes_factor,
+    bundled_model_path,
+    combine_models,
+    likelihood,
+    load_model,
+    posterior,
+    williams_check,
 )
 
 from helpers import (
@@ -78,6 +86,13 @@ class TestConstrainingRelation:
         assert example2.constraining_relation("BANANA") is example2.constraining_relation(
             "BANANA"
         )
+
+    def test_built_only_for_the_asked_message(self):
+        model = load_model(bundled_model_path("example1"))
+        relation = model.constraining_relation("BANANA")
+        assert list(model._relations) == [1]
+        assert model._relations[1] is relation
+        assert model.constraining_relation("BANANA") is relation
 
     def test_record_matches_codebooks_and_code_probabilities(self):
         rng = random.Random(60606)
@@ -269,6 +284,22 @@ class TestModelValidation:
         model = EvidenceModel(YN, messages, domain, (Code("s", F(1), odd),))
         assert model._rows == plain._rows == ((0, 1, 2),)
         assert model.derive_mass("BANANA") == plain.derive_mass("BANANA")
+
+    def test_message_that_hashes_unlike_its_label(self, example1):
+        odd, plain = OddHash("BANANA"), "BANANA"
+        uniform = PriorSpec.uniform(example1.plaintexts)
+        fresh = load_model(bundled_model_path("example1"))
+        assert fresh.constraining_relation(odd) is fresh.constraining_relation(plain)
+        for ask in (
+            lambda message: example1.constraining_relation(message),
+            lambda message: example1.derive_mass(message),
+            lambda message: likelihood(example1, NO, message),
+            lambda message: posterior(example1, uniform, message),
+            lambda message: bayes_factor(example1, message, NO, TOP),
+            lambda message: williams_check(example1, message),
+            lambda message: combine_models(example1, message, example1, message),
+        ):
+            assert ask(odd) == ask(plain)
 
     def test_missing_code_attribute(self, example1):
         for code in (Code("s", F(1), self.codebook()), example1.codes[0]):

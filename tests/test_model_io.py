@@ -412,6 +412,17 @@ class TestValidateModel:
             "code s non-injective on q0: {yes,no}, {yes}, {no}"
         ]
 
+    def test_two_non_injective_messages_in_message_order(self):
+        frame = Frame(("a", "b", "c"))
+        domain = tuple(frame.subset(members) for members in (["a"], ["b"], ["c"], ["a", "b"]))
+        code = Code("s", F(1), dict(zip(domain, ("q1", "q0", "q1", "q0"))))
+        model = EvidenceModel(frame, ("q0", "q1"), domain, (code,))
+        assert model._rows == ((1, 0, 1, 0),)
+        assert validate_model(model) == [
+            "code s non-injective on q0: {b}, {a,b}",
+            "code s non-injective on q1: {a}, {c}",
+        ]
+
     def test_unused_message_warning(self):
         frame = Frame(("a", "b"))
         top = frame.full()
