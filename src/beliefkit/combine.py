@@ -1,16 +1,20 @@
-"""Dempster's rule of combination, implemented two independent ways.
+"""Dempster's rule of combination, implemented three independent ways.
 
-:func:`combine_masses` works directly on two mass functions: intersect every
-pair of focal elements, set aside the product mass that lands on the empty
-set as conflict, and renormalize.  :func:`combine_models` never builds the
-two mass functions; it enumerates the joint constraining relation of two
-coded-message models (code pairs with every plaintext pair they may have
-encoded) and pools conditional product probability onto the union of the
-nonempty intersections.  The two routes agree exactly, combined mass and
-conflict both, which the test suite checks across random model pairs.
+:func:`combine_masses` works directly on two mass functions, by one of two
+routes chosen by size.  Most pairs intersect every pair of focal elements,
+set aside the product mass that lands on the empty set as conflict, and
+renormalize.  Dense pairs on frames of at most MAX_INVERSION_FRAME labels
+multiply the two commonality tables cell by cell instead and invert the
+product with the lattice transform of :mod:`beliefkit.mass`.
+:func:`combine_models` never builds the two mass functions; it enumerates
+the joint constraining relation of two coded-message models (code pairs
+with every plaintext pair they may have encoded) and pools conditional
+product probability onto the union of the nonempty intersections.  The
+three routes agree exactly, combined mass and conflict both, which the test
+suite checks across random model pairs.
 
-Both routes pool integer products of common-denominator numerators onto
-``int`` bitmasks and count conflict as an integer over the product of the
+Every route pools integer products of common-denominator numerators onto
+``int`` bitmasks and counts conflict as an integer over the product of the
 denominators; ``SubsetMask`` and ``Fraction`` values appear only in the
 result.
 """
@@ -19,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .errors import FrameMismatch, TotalConflict
 from .frames import Frame
-from .mass import MassFunction
+from .mass import MAX_INVERSION_FRAME, MassFunction, _lattice_transform
 from .evidence import EvidenceModel
 
 
@@ -47,10 +53,51 @@ def _renormalized(
     return CombinationResult(combined, Fraction(conflict, total))
 
 
+def _pooled_masses(
+    m1: MassFunction, m2: MassFunction, pooled: dict[int, int], conflict: int
+) -> CombinationResult:
+    """Renormalize the pooled products of two masses' numerators."""
+    total = m1._denominator * m2._denominator
+    return _renormalized(
+        m1.frame, pooled, conflict, total, "every focal intersection is empty"
+    )
+
+
+# The dispatch rule of combine_masses.  The intersection loop costs one step
+# per pair of focal elements, k1 * k2 in all; the commonality route costs
+# three lattice transforms and one product over the 2^size cells, plus a
+# fixed cost.  So a pair goes through commonality tables when
+#     k1 * k2 > _PAIRS_PER_CELL * (2^size + _FIXED_CELLS)
+# on a frame of at most MAX_INVERSION_FRAME labels.  Both constants are fitted
+# to a sweep of frames 3-12 at k1 = k2 (BENCH_18.json).  The routes broke
+# even at k1 * k2 of 3-5 times 2^size on frames 8-12, about 6 times on frames
+# 6 and 7 and 6-8 times on frame 5; the rule switches at 4.1-5 times on frames
+# 8-12, 6 on frame 7, 8 on frame 6 and 12 on frame 5.  No pair on 4 labels or
+# fewer reaches it (15 * 15 = 225 < 320); there the commonality route was
+# never more than 10 microseconds faster.
+_PAIRS_PER_CELL = 4
+_FIXED_CELLS = 64
+
+
 def combine_masses(m1: MassFunction, m2: MassFunction) -> CombinationResult:
-    """Combine two mass functions over one frame with Dempster's rule."""
+    """Combine two mass functions over one frame with Dempster's rule.
+
+    A pair of masses with k1 and k2 focal elements on a frame of at most
+    MAX_INVERSION_FRAME labels goes through commonality tables when
+    ``k1 * k2 > 4 * (2^size + 64)``; every other pair intersects each pair
+    of focal elements.  The two routes give the same exact result.
+    """
     if m1.frame != m2.frame:
         raise FrameMismatch("mass functions must share a frame to be combined")
+    size = m1.frame.size
+    pairs = len(m1._numerators) * len(m2._numerators)
+    if size <= MAX_INVERSION_FRAME and pairs > _PAIRS_PER_CELL * ((1 << size) + _FIXED_CELLS):
+        return _combine_by_commonality(m1, m2)
+    return _combine_by_intersection(m1, m2)
+
+
+def _combine_by_intersection(m1: MassFunction, m2: MassFunction) -> CombinationResult:
+    """Dempster's rule by intersecting every pair of focal elements."""
     right = tuple(m2._numerators.items())
     pooled: dict[int, int] = {}
     conflict = 0
@@ -61,10 +108,35 @@ def combine_masses(m1: MassFunction, m2: MassFunction) -> CombinationResult:
                 pooled[meet] = pooled.get(meet, 0) + x1 * x2
             else:
                 conflict += x1 * x2
-    total = m1._denominator * m2._denominator
-    return _renormalized(
-        m1.frame, pooled, conflict, total, "every focal intersection is empty"
-    )
+    return _pooled_masses(m1, m2, pooled, conflict)
+
+
+def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationResult:
+    """Dempster's rule through the product of the two commonality tables.
+
+    The commonality Q(A) of a mass sums it over the supersets of A, and
+    the unnormalised combination has Q1 * Q2 as its commonality.  Cell
+    ``full ^ A`` of a table holds A, so the supersets of A sit below that
+    cell: the zeta transform of each reversed mass is its reversed Q, and
+    the Möbius inverse of their cell-by-cell product is the reversed
+    unnormalised combination, over ``d1 * d2``, with the conflict in cell
+    ``full`` (Kennes & Smets, UAI 1990).
+    """
+    size = m1.frame.size
+    cells = 1 << size
+    full = cells - 1
+    tables = []
+    for mass in (m1, m2):
+        table = [0] * cells
+        for bits, n in mass._numerators.items():
+            table[full ^ bits] = n
+        tables.append(_lattice_transform(table, size, inverse=False))
+    product = _lattice_transform(list(map(mul, *tables)), size, inverse=True)
+    # The last cell holds the conflict; reversed, the rest hold A at index A - 1.
+    conflict = product.pop()
+    product.reverse()
+    pooled = dict(zip(compress(range(1, cells), product), filter(None, product)))
+    return _pooled_masses(m1, m2, pooled, conflict)
 
 
 def combine_models(

@@ -22,7 +22,9 @@ shift-and-add over the whole integer.  Summing up the lattice gives the table
 of Bel numerators: on frames of at most MAX_INVERSION_FRAME labels a mass
 builds it on its first Bel or Pl query and answers every query from it;
 larger frames scan the focal elements instead.  Subtracting down the lattice
-inverts a belief table in :meth:`from_belief`.
+inverts a belief table in :meth:`from_belief`.  :mod:`beliefkit.combine`
+runs the same transform for Dempster's rule on dense pairs: both ways over
+reversed tables, which turns the subsets of a cell into its supersets.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from beliefkit import (
     williams_check,
 )
 from beliefkit.cli import run_command
+from beliefkit.combine import _combine_by_commonality
 
 from helpers import (
     as_set_dict,
@@ -124,23 +125,30 @@ def test_criterion_5_product_equals_direct():
         model2 = random_model(rng, frame, max_codes=4, max_messages=5)
         q1 = producible_message(rng, model1)
         q2 = producible_message(rng, model2)
+        # These masses are too small for combine_masses to pick the
+        # commonality route, so it is called here as a third route.
+        m1, m2 = model1.derive_mass(q1), model2.derive_mass(q2)
         try:
-            direct = combine_masses(model1.derive_mass(q1), model2.derive_mass(q2))
+            direct = combine_masses(m1, m2)
         except TotalConflict:
             with pytest.raises(TotalConflict):
                 combine_models(model1, q1, model2, q2)
+            with pytest.raises(TotalConflict):
+                _combine_by_commonality(m1, m2)
             conflicts += 1
             continue
         product = combine_models(model1, q1, model2, q2)
-        assert product.combined == direct.combined
-        assert product.conflict == direct.conflict
+        dense = _combine_by_commonality(m1, m2)
+        assert product.combined == direct.combined == dense.combined
+        assert product.conflict == direct.conflict == dense.conflict
         agreements += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(
         5,
-        f"{agreements} random pairs agree exactly (combined and conflict), "
-        f"{conflicts} conflicted pairs agree on TotalConflict, {elapsed:.2f}s",
+        f"{agreements} random pairs agree exactly across three routes (product, "
+        f"direct, commonality; combined and conflict), {conflicts} conflicted pairs "
+        f"agree on TotalConflict, {elapsed:.2f}s",
     )
 
 

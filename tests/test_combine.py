@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,15 @@ from beliefkit import (
     Frame,
     FrameMismatch,
     MassFunction,
+    SubsetMask,
     TotalConflict,
     UnknownMessage,
     combine_masses,
     combine_models,
 )
+from beliefkit import combine, mass
+from beliefkit.combine import _combine_by_commonality, _combine_by_intersection
+from beliefkit.mass import MAX_INVERSION_FRAME
 
 from helpers import (
     MANY_CODES,
@@ -22,10 +27,12 @@ from helpers import (
     mixed_fractions,
     oracle_combine,
     oracle_derive,
+    prime_fractions,
     producible_message,
     random_frame,
     random_mass,
     random_model,
+    wide_frame,
     wide_mass,
 )
 from test_mass import masses
@@ -96,10 +103,131 @@ class TestDirectCombination:
             assert result.conflict == conflict
 
 
+ROUTES = (_combine_by_intersection, _combine_by_commonality)
+
+
+def dense_threshold(size):
+    """The most pairs of focal elements `combine_masses` intersects at `size`."""
+    return combine._PAIRS_PER_CELL * ((1 << size) + combine._FIXED_CELLS)
+
+
+def mass_pair(rng, frame, focal, fractions=mixed_fractions):
+    """Two random masses of exactly `focal` focal elements each."""
+    return tuple(
+        random_mass(rng, frame, max_focal=focal, min_focal=focal, fractions=fractions)
+        for _ in range(2)
+    )
+
+
+def assert_routes_agree(m1, m2):
+    """Both routes on one pair: each equal to the set oracle and to the other.
+
+    Returns the intersection route's result, or None when both raise
+    TotalConflict with the text of `combine_masses`.
+    """
+    expected, conflict = oracle_combine(as_set_dict(m1), as_set_dict(m2))
+    if expected is None:
+        for route in ROUTES:
+            with pytest.raises(TotalConflict, match="^every focal intersection is empty$"):
+                route(m1, m2)
+        return None
+    direct, dense = (route(m1, m2) for route in ROUTES)
+    for result in (direct, dense):
+        assert as_set_dict(result.combined) == expected
+        assert result.conflict == conflict
+    assert dense.combined.frame is direct.combined.frame
+    assert dense.combined._denominator == direct.combined._denominator
+    assert list(dense.combined._numerators.items()) == list(
+        direct.combined._numerators.items()
+    )
+    assert dense.conflict == direct.conflict
+    return direct
+
+
+class TestCommonalityRoute:
+    @pytest.mark.parametrize("size", range(1, MAX_INVERSION_FRAME + 1))
+    def test_both_sides_of_the_rule(self, size, monkeypatch):
+        rng = random.Random(3000 + size)
+        frame = wide_frame(size)
+        limit = dense_threshold(size)
+        most = (1 << size) - 1
+        below = min(math.isqrt(limit), most)
+        above = below + 1
+        # On four labels or fewer no pair reaches the commonality route.
+        assert (above <= most) is (size > 4)
+        sides = [(below, False)] + ([(above, True)] if above <= most else [])
+        picked = []
+        monkeypatch.setattr(
+            combine,
+            "_combine_by_commonality",
+            lambda m1, m2: picked.append(True) or _combine_by_commonality(m1, m2),
+        )
+        for focal, dense in sides:
+            assert (focal * focal > limit) is dense
+            m1, m2 = mass_pair(rng, frame, focal)
+            assert_routes_agree(m1, m2)
+            picked.clear()
+            try:
+                combine_masses(m1, m2)
+            except TotalConflict:
+                pass
+            assert picked == [True] * dense
+
+    @pytest.mark.parametrize("size, focal", [(6, 12), (8, 16), (10, 12)])
+    def test_chained_inputs(self, size, focal):
+        rng = random.Random(4000 + size)
+        frame = wide_frame(size)
+
+        def combined():
+            m1, m2 = mass_pair(rng, frame, focal)
+            return assert_routes_agree(m1, m2).combined
+
+        left, right = combined(), combined()
+        assert len(left.focal()) * len(right.focal()) > dense_threshold(size)
+        again = assert_routes_agree(left, right)
+        assert again is not None
+        assert combine_masses(left, right) == again
+
+    @pytest.mark.parametrize("fractions", [mixed_fractions, prime_fractions])
+    @pytest.mark.parametrize("size", [5, 7, 9])
+    def test_unlike_and_wide_denominators(self, size, fractions):
+        rng = random.Random(5000 + size)
+        frame = wide_frame(size)
+        for focal in (3, 24):
+            m1, m2 = mass_pair(rng, frame, focal, fractions)
+            assert_routes_agree(m1, m2)
+
+    def test_total_conflict_on_both_routes(self):
+        frame = wide_frame(8)
+        low = MassFunction(frame, [(SubsetMask(frame, bits), F(1, 15)) for bits in range(1, 16)])
+        high = MassFunction(
+            frame, [(SubsetMask(frame, bits << 4), F(1, 15)) for bits in range(1, 16)]
+        )
+        assert assert_routes_agree(low, high) is None
+
+    def test_frames_past_the_inversion_limit_stay_on_the_intersection_loop(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice transform was called")
+
+        monkeypatch.setattr(combine, "_lattice_transform", refuse)
+        monkeypatch.setattr(mass, "_lattice_transform", refuse)
+        rng = random.Random(13)
+        size = MAX_INVERSION_FRAME + 1
+        frame = wide_frame(size)
+        m1, m2 = mass_pair(rng, frame, 200)
+        assert 200 * 200 > dense_threshold(size)
+        expected, conflict = oracle_combine(as_set_dict(m1), as_set_dict(m2))
+        result = combine_masses(m1, m2)
+        assert as_set_dict(result.combined) == expected
+        assert result.conflict == conflict
+
+
 @st.composite
 def mass_pairs(draw):
-    size = draw(st.integers(min_value=1, max_value=4))
-    frame = Frame(tuple("abcd"[:size]))
+    size = draw(st.integers(min_value=1, max_value=6))
+    frame = Frame(tuple("abcdef"[:size]))
     return draw(masses(frame=frame)), draw(masses(frame=frame))
 
 
@@ -116,6 +244,21 @@ def test_commutativity(pair):
     right = combine_masses(m2, m1)
     assert left.combined == right.combined
     assert left.conflict == right.conflict
+
+
+@settings(max_examples=100)
+@given(mass_pairs())
+def test_routes_agree(pair):
+    m1, m2 = pair
+    try:
+        direct = _combine_by_intersection(m1, m2)
+    except TotalConflict:
+        with pytest.raises(TotalConflict):
+            _combine_by_commonality(m1, m2)
+        return
+    dense = _combine_by_commonality(m1, m2)
+    assert dense.combined == direct.combined
+    assert dense.conflict == direct.conflict
 
 
 @settings(max_examples=100)
