@@ -173,7 +173,8 @@ class EvidenceModel:
                     f"{format_rational(code.prob)}"
                 )
         denominator, numerators = _over_one_denominator(
-            [code.prob.as_integer_ratio() for code in self.codes]
+            [code.prob.numerator for code in self.codes],
+            [code.prob.denominator for code in self.codes],
         )
         total = sum(numerators)
         if total != denominator:

@@ -9,9 +9,13 @@ mass to the empty set.
 Internally a mass function is held as ``int`` bitmasks and integer numerators
 over one common denominator, so Bel/Pl queries, belief-table inversion and
 Dempster's rule (:mod:`beliefkit.combine`) run on integers alone.  Values come
-in through one intake: each is read once as an integer ratio and scaled to the
-lcm by a factor computed once per distinct denominator.  :class:`SubsetMask`
-and :class:`Fraction` values are built only where they leave the API.
+in through one intake: each is read once as an integer ratio into a column of
+numerators and a column of denominators, and scaled to the lcm by a factor
+computed once per distinct denominator.  A mass keeps a dict of positive
+numerators that is already in ascending bitmask order over the least common
+denominator as it is handed over; only other dicts are sorted and reduced.
+:class:`SubsetMask` and :class:`Fraction` values are built only where they
+leave the API.
 
 Dense work goes through one transform over the subset lattice, size passes
 over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
@@ -34,7 +38,6 @@ import re
 import struct
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -85,12 +88,18 @@ def exact(value: object) -> Fraction:
     return Fraction(value)
 
 
-def _over_one_denominator(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """Exact ``(n, d)`` pairs over their lcm, computing ``lcm // d`` once per distinct d."""
-    distinct = set(map(itemgetter(1), ratios))
+def _over_one_denominator(
+    numerators: list[int], denominators: list[int]
+) -> tuple[int, list[int]]:
+    """The ratios ``numerators[k] / denominators[k]`` over their lcm.
+
+    Returns the lcm and each ratio's numerator over it; ``lcm // d`` is
+    computed once per distinct denominator d.
+    """
+    distinct = set(denominators)
     denominator = math.lcm(*distinct)
     scale = {d: denominator // d for d in distinct}
-    return denominator, [n * scale[d] for n, d in ratios]
+    return denominator, [n * scale[d] for n, d in zip(numerators, denominators)]
 
 
 def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
@@ -160,16 +169,19 @@ class MassFunction:
     __slots__ = ("_frame", "_denominator", "_numerators", "_belief_table")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[SubsetMask, object]]):
-        keys, ratios = [], []
+        keys, nums, dens = [], [], []
         for mask, value in entries:
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"focal set {mask} does not belong to the frame")
             value = value if value.__class__ is Fraction else exact(value)
             if value < 0:
                 raise NegativeMass(f"mass of {mask} is negative: {format_rational(value)}")
-            keys.append(mask.bits)
-            ratios.append(value.as_integer_ratio())
-        denominator, scaled = _over_one_denominator(ratios)
+            if value:
+                n, d = value.as_integer_ratio()
+                keys.append(mask.bits)
+                nums.append(n)
+                dens.append(d)
+        denominator, scaled = _over_one_denominator(nums, dens)
         numerators: dict[int, int] = {}
         for bits, n in zip(keys, scaled):
             numerators[bits] = numerators.get(bits, 0) + n
@@ -177,34 +189,39 @@ class MassFunction:
 
     @classmethod
     def _from_numerators(
-        cls, frame: Frame, denominator: int, numerators: Mapping[int, int]
+        cls, frame: Frame, denominator: int, numerators: dict[int, int]
     ) -> MassFunction:
         """The mass ``numerators[bits] / denominator`` on each subset ``bits``.
 
-        The numerators must be non-negative; the constructor's checks on
-        the empty set and on normalization still apply.
+        The numerators must be positive; the constructor's checks on the
+        empty set and on normalization still apply.  A dict already in
+        ascending bitmask order over the least common denominator is kept
+        as it is, so the caller must not change it afterwards.
         """
         mass = cls.__new__(cls)
         mass._set(frame, denominator, numerators)
         return mass
 
-    def _set(self, frame: Frame, denominator: int, numerators: Mapping[int, int]) -> None:
-        focal = {bits: n for bits, n in numerators.items() if n}
-        if 0 in focal:
+    def _set(self, frame: Frame, denominator: int, numerators: dict[int, int]) -> None:
+        if 0 in numerators:
             raise MassOnEmptySet(
-                f"the empty set carries mass {format_rational(Fraction(focal[0], denominator))}"
+                "the empty set carries mass "
+                f"{format_rational(Fraction(numerators[0], denominator))}"
             )
-        total = sum(focal.values())
+        total = sum(numerators.values())
         if total != denominator:
             raise MassNotNormalized(
                 f"masses sum to {format_rational(Fraction(total, denominator))}, expected 1"
             )
         # Dividing out the common factor leaves the least common denominator
         # of the reduced masses, so equal masses are equal field by field.
-        common = math.gcd(denominator, *focal.values())
+        common = math.gcd(denominator, *numerators.values())
+        keys = list(numerators)
+        if common != 1 or keys != sorted(keys):
+            numerators = {bits: numerators[bits] // common for bits in sorted(keys)}
         self._frame = frame
         self._denominator = denominator // common
-        self._numerators = {bits: focal[bits] // common for bits in sorted(focal)}
+        self._numerators = numerators
         self._belief_table = None
 
     @classmethod
@@ -234,34 +251,36 @@ class MassFunction:
                 f"{MAX_INVERSION_FRAME} or smaller, got {size}"
             )
         cells = 1 << size
-        table = [(0, 1)] * cells
+        nums, dens = [0] * cells, [1] * cells
         for mask, value in belief.items():
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
             value = value if value.__class__ is Fraction else exact(value)
-            table[mask.bits] = value.as_integer_ratio()
+            bits = mask.bits
+            nums[bits], dens[bits] = value.as_integer_ratio()
         if len(belief) != cells:
             raise NotABeliefFunction(
                 f"belief table must cover all {cells} subsets, got {len(belief)}"
             )
-        if table[-1] != (1, 1):
+        if nums[-1] != 1 or dens[-1] != 1:
             raise NotABeliefFunction(
-                f"Bel of the full frame is {format_rational(Fraction(*table[-1]))}, expected 1"
+                f"Bel of the full frame is {format_rational(Fraction(nums[-1], dens[-1]))}, "
+                "expected 1"
             )
-        denominator, table = _over_one_denominator(table)
+        denominator, table = _over_one_denominator(nums, dens)
         table = _lattice_transform(table, size, inverse=True)
         if table[0] != 0:
             raise NotABeliefFunction(
                 f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
                 f"on the empty set"
             )
-        if min(table) < 0:
-            bits = next(bits for bits, n in enumerate(table) if n < 0)
-            mass = format_rational(Fraction(table[bits], denominator))
+        focal = dict(zip(compress(range(cells), table), filter(None, table)))
+        if min(focal.values()) < 0:
+            bits = next(bits for bits, n in focal.items() if n < 0)
+            mass = format_rational(Fraction(focal[bits], denominator))
             where = SubsetMask(frame, bits)
             raise NotABeliefFunction(f"inversion yields negative mass {mass} on {where}")
-        focal = zip(compress(range(cells), table), filter(None, table))
-        return cls._from_numerators(frame, denominator, dict(focal))
+        return cls._from_numerators(frame, denominator, focal)
 
     @property
     def frame(self) -> Frame:

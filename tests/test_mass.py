@@ -73,6 +73,32 @@ class TestConstruction:
         assert m == spy_mass()
         assert [mask for mask, _ in m.focal()] == [NO, TOP]
 
+    def test_zero_entries_drop_out_before_the_checks(self):
+        m = MassFunction(YN, [(YN.empty(), F(0)), (NO, F(2, 3)), (TOP, F(1, 3))])
+        assert m == spy_mass()
+        assert list(m._numerators) == [NO.bits, TOP.bits]
+        m = MassFunction(YN, [(YES, F(0)), (NO, F(2, 3)), (YES, "0"), (TOP, F(1, 3))])
+        assert YES.bits not in m._numerators
+        assert m == spy_mass()
+        assert m[YES] == 0
+
+    def test_from_numerators_canonical_in_any_key_order_and_scale(self):
+        abc = Frame(("a", "b", "c"))
+        reduced = {1: 2, 3: 1, 5: 4, 6: 3, 7: 5}  # over 15, in ascending order
+        shuffled = dict(reversed(reduced.items()))
+        scaled = {bits: 6 * n for bits, n in reduced.items()}
+        masses = [
+            MassFunction._from_numerators(abc, 15, reduced),
+            MassFunction._from_numerators(abc, 15, shuffled),
+            MassFunction._from_numerators(abc, 90, scaled),
+        ]
+        for m in masses:
+            assert m._denominator == 15
+            assert list(m._numerators.items()) == list(reduced.items())
+            assert m == masses[0]
+            assert hash(m) == hash(masses[0])
+            assert m.focal() == masses[0].focal()
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             MassFunction(YN, [(TOP, 1.0)])
@@ -539,6 +565,74 @@ def test_belief_matches_set_oracle(m):
     for subset in powerset(m.frame.labels):
         mask = m.frame.subset(subset)
         assert m.belief(mask) == oracle_belief(by_set, subset)
+
+
+def _written(value, form):
+    """`value` as a Fraction, as an int when it is whole, or as ``p/q`` text."""
+    if form == "text":
+        return format_rational(value)
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    return value
+
+
+@st.composite
+def belief_tables(draw):
+    """A mass's dense Bel table with 0-2 cells below the full frame changed,
+    each value written as a Fraction, an int or ``p/q`` text."""
+    m = draw(masses())
+    frame = m.frame
+    full = (1 << frame.size) - 1
+    values = [m.belief(SubsetMask(frame, bits)) for bits in range(full + 1)]
+    changes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=full - 1),
+                st.fractions(min_value=-1, max_value=2, max_denominator=6),
+            ),
+            max_size=2,
+        )
+    )
+    for bits, value in changes:
+        values[bits] = value
+    forms = draw(
+        st.lists(
+            st.sampled_from(["fraction", "int", "text"]), min_size=full + 1, max_size=full + 1
+        )
+    )
+    table = {
+        SubsetMask(frame, bits): _written(value, form)
+        for bits, (value, form) in enumerate(zip(values, forms))
+    }
+    return frame, values, table
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(belief_tables())
+def test_from_belief_matches_signed_sum_oracle_or_its_diagnostic(case):
+    frame, values, table = case
+    expected = oracle_mobius(
+        frame.labels,
+        {frozenset(SubsetMask(frame, bits).members): v for bits, v in enumerate(values)},
+    )
+    empty = expected.get(frozenset(), Fraction(0))
+    negative = sorted(
+        (sum(1 << frame.labels.index(label) for label in subset), value)
+        for subset, value in expected.items()
+        if value < 0
+    )
+    if empty:
+        message = f"inversion puts mass {format_rational(empty)} on the empty set"
+    elif negative:
+        bits, value = negative[0]
+        members = ",".join(label for i, label in enumerate(frame.labels) if bits >> i & 1)
+        message = f"inversion yields negative mass {format_rational(value)} on {{{members}}}"
+    else:
+        assert as_set_dict(MassFunction.from_belief(frame, table)) == expected
+        return
+    with pytest.raises(NotABeliefFunction) as caught:
+        MassFunction.from_belief(frame, table)
+    assert str(caught.value) == message
 
 
 class TestRationalText:
