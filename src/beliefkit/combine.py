@@ -6,12 +6,12 @@ set aside the product mass that lands on the empty set as conflict, and
 renormalize.  Dense pairs on frames of at most MAX_INVERSION_FRAME labels
 multiply the two commonality tables cell by cell instead and invert the
 product with the lattice transform of :mod:`beliefkit.mass`.
-:func:`combine_models` never builds the two mass functions; it enumerates
-the joint constraining relation of two coded-message models (code pairs
-with every plaintext pair they may have encoded) and pools conditional
-product probability onto the union of the nonempty intersections.  The
-three routes agree exactly, combined mass and conflict both, which the test
-suite checks across random model pairs.
+:func:`combine_models` never builds the two mass functions; it walks the
+joint constraining relation of two coded-message models code pair by code
+pair and pools conditional product probability onto Γ₁(c₁) ∩ Γ₂(c₂), the
+meet of the two codes' compatibility sets, which each relation computes
+once.  The three routes agree exactly, combined mass and conflict both,
+which the test suite checks across random model pairs.
 
 Every route pools integer products of common-denominator numerators onto
 ``int`` bitmasks and counts conflict as an integer over the product of the
@@ -149,10 +149,10 @@ def combine_models(
 
     Both models must share the hypothesis frame; their codes are chosen
     independently, so code pairs carry the product of each model's
-    message-conditioned code probabilities.  A code pair is compatible when
-    some plaintext pair it may have encoded intersects; its compatibility
-    set is the union of those intersections.  Product mass on incompatible
-    pairs is the conflict, and the rest renormalizes to the combined mass.
+    message-conditioned code probabilities.  A code pair's compatibility set
+    is Γ₁(c₁) ∩ Γ₂(c₂), the meet of the sets each relation computes once, and
+    by distributivity the union of its plaintext pairs' intersections.  Product
+    mass on empty meets is the conflict; the rest renormalizes.
     """
     if model1.frame != model2.frame:
         raise FrameMismatch("models must share the hypothesis frame to be combined")
@@ -160,20 +160,13 @@ def combine_models(
     relation2 = model2.constraining_relation(message2)
     if not relation1.decoded or not relation2.decoded:
         raise TotalConflict("one of the messages cannot be produced by any code")
-    codes2 = [
-        (relation2.weights[name], tuple(mask.bits for mask in plaintexts))
-        for name, plaintexts in relation2.decoded.items()
-    ]
+    right = [(relation2.weights[name], bits) for name, bits in relation2._compatibility.items()]
     pooled: dict[int, int] = {}
     conflict = 0
-    for name1, plaintexts1 in relation1.decoded.items():
+    for name1, bits1 in relation1._compatibility.items():
         w1 = relation1.weights[name1]
-        decoded1 = tuple(mask.bits for mask in plaintexts1)
-        for w2, decoded2 in codes2:
-            compat = 0  # empty intersections add nothing to the union
-            for a1 in decoded1:
-                for a2 in decoded2:
-                    compat |= a1 & a2
+        for w2, bits2 in right:
+            compat = bits1 & bits2
             if compat:
                 pooled[compat] = pooled.get(compat, 0) + w1 * w2
             else:

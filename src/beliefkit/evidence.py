@@ -18,9 +18,11 @@ from the rows that send some plaintext to it, and kept by the model for
 every later one; no other message's relation is built.  Each
 :class:`ConstrainingRelation` is one record: what every possible code
 decodes the message to, and each such code's prior probability as an
-integer weight over one common denominator.  The belief route here and the
-Bayesian route in :mod:`beliefkit.bayes` read the same record; they differ
-only in the total they divide the weights by.
+integer weight over one common denominator.  It computes each code's
+compatibility set Γ(c) once, on first read: ``derive_mass`` pools on
+Γ(c), and the product route of :mod:`beliefkit.combine` on Γ₁ ∩ Γ₂.  The
+belief route here and the Bayesian route in :mod:`beliefkit.bayes` read the
+same record; they differ only in the total they divide the weights by.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 from typing import Mapping
@@ -98,9 +100,11 @@ class ConstrainingRelation:
     ``decoded`` maps each possible code's name, in model order, to the
     plaintexts it decodes the message to, in the model's ``plaintexts``
     order; ``weights`` gives each such code's prior probability as an integer
-    over ``denominator``, the lcm of those probabilities' denominators.  A model
-    shares its records with every reader; like ``Code.codebook``, they must not
-    be mutated.
+    over ``denominator``, the lcm of those probabilities' denominators.  Each
+    code's compatibility set Γ(c), read by ``derive_mass`` and (as Γ₁ ∩ Γ₂)
+    by ``combine_models``, is computed once per record on first read; it is
+    no field, so ``==``, ``hash`` and ``repr`` ignore it.  A model shares its
+    records with every reader; like ``Code.codebook``, they must not be mutated.
     """
 
     decoded: Mapping[str, tuple[SubsetMask, ...]] = field(hash=False)
@@ -116,12 +120,16 @@ class ConstrainingRelation:
         """Names of codes that could have produced the message, model order."""
         return tuple(self.decoded)
 
+    @cached_property
+    def _compatibility(self) -> dict[str, int]:
+        """Each possible code's name -> bits of its compatibility set, ``decoded`` order."""
+        return {name: reduce(or_, [m.bits for m in ms], 0) for name, ms in self.decoded.items()}
+
     def compatibility_set(self, name: str) -> SubsetMask:
         """Union of all plaintexts the relation pairs with code `name`."""
         if name not in self.decoded:
             raise CodeNotPossible(f"code {name!r} is not in the constraining relation")
-        masks = self.decoded[name]
-        return SubsetMask(masks[0].frame, reduce(or_, [mask.bits for mask in masks]))
+        return SubsetMask(self.decoded[name][0].frame, self._compatibility[name])
 
 
 @dataclass(frozen=True)
@@ -270,7 +278,6 @@ class EvidenceModel:
         if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
         pooled: dict[int, int] = {}
-        for name, masks in relation.decoded.items():
-            bits = reduce(or_, [mask.bits for mask in masks])
+        for name, bits in relation._compatibility.items():
             pooled[bits] = pooled.get(bits, 0) + relation.weights[name]
         return MassFunction._from_numerators(self.frame, sum(relation.weights.values()), pooled)

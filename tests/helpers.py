@@ -113,6 +113,51 @@ def oracle_combine(mass1_by_set, mass2_by_set):
     return {s: v / (1 - conflict) for s, v in pooled.items()}, conflict
 
 
+def oracle_combine_models(model1: EvidenceModel, message1, model2: EvidenceModel, message2):
+    """Product-space Dempster's rule over plain data structures.
+
+    Reads each model's codebooks: a code is possible when it sends some
+    plaintext to its message.  Every pair of possible codes carries the
+    product of the two codes' probabilities, conditioned on possible codes,
+    and pools it onto the union of the nonempty intersections of every
+    plaintext pair the two codes decode their messages to; a pair with none
+    is conflict.  Returns (combined, conflict) as in :func:`oracle_combine`,
+    or (None, None) when either message has no possible code.
+    """
+    sources = []
+    for model, message in ((model1, message1), (model2, message2)):
+        decoded = {}
+        for code in model.codes:
+            hits = [
+                frozenset(mask.members)
+                for mask, label in code.codebook.items()
+                if label == message
+            ]
+            if hits:
+                decoded[code.name] = (code.prob, hits)
+        sources.append(decoded)
+    left, right = sources
+    if not left or not right:
+        return None, None
+    total = sum((p for p, _ in left.values()), Fraction(0)) * sum(
+        (p for p, _ in right.values()), Fraction(0)
+    )
+    pooled = {}
+    conflict = Fraction(0)
+    for p1, hits1 in left.values():
+        for p2, hits2 in right.values():
+            meets = [a & b for a in hits1 for b in hits2 if a & b]
+            weight = p1 * p2 / total
+            if meets:
+                union = frozenset().union(*meets)
+                pooled[union] = pooled.get(union, Fraction(0)) + weight
+            else:
+                conflict += weight
+    if conflict == 1:
+        return None, conflict
+    return {s: v / (1 - conflict) for s, v in pooled.items()}, conflict
+
+
 def oracle_simulate(model: EvidenceModel, prior: PriorSpec, message, samples, seed):
     """The Monte Carlo trials one at a time: draw a plaintext, then a code.
 

@@ -26,9 +26,11 @@ from helpers import (
     as_set_dict,
     mixed_fractions,
     oracle_combine,
+    oracle_combine_models,
     oracle_derive,
     prime_fractions,
     producible_message,
+    random_fractions,
     random_frame,
     random_mass,
     random_model,
@@ -328,7 +330,7 @@ class TestProductCombination:
     def test_agrees_with_direct_route_on_random_pairs(self):
         rng = random.Random(161803)
         # The many-code pairs keep to about a hundred codes a side: the
-        # product route enumerates every plaintext pair of every code pair.
+        # product route intersects one compatibility set per code pair.
         many = {**MANY_CODES, "min_codes": 100, "max_codes": 120}
 
         def model_pairs():
@@ -353,6 +355,42 @@ class TestProductCombination:
             product = combine_models(model1, q1, model2, q2)
             assert product.combined == direct.combined
             assert product.conflict == direct.conflict
+
+    def test_matches_plaintext_pair_oracle(self):
+        # Codes that decode several plaintexts make the oracle's union over
+        # plaintext pairs differ from any single intersection.
+        rng = random.Random(31337)
+        multi = conflicts = 0
+        for i in range(200):
+            frame = random_frame(rng, 6, min_size=2)
+            model1, model2 = (
+                random_model(
+                    rng,
+                    frame,
+                    max_codes=6,
+                    max_messages=3,
+                    min_plaintexts=2,
+                    max_plaintexts=8,
+                    fractions=mixed_fractions if i % 2 else random_fractions,
+                )
+                for _ in range(2)
+            )
+            q1, q2 = rng.choice(model1.messages), rng.choice(model2.messages)
+            multi += sum(
+                len(a) > 1 and len(b) > 1
+                for a in model1.constraining_relation(q1).decoded.values()
+                for b in model2.constraining_relation(q2).decoded.values()
+            )
+            expected, conflict = oracle_combine_models(model1, q1, model2, q2)
+            if expected is None:
+                conflicts += 1
+                with pytest.raises(TotalConflict):
+                    combine_models(model1, q1, model2, q2)
+                continue
+            result = combine_models(model1, q1, model2, q2)
+            assert as_set_dict(result.combined) == expected
+            assert result.conflict == conflict
+        assert multi > 0 and conflicts > 0
 
     def test_agrees_with_direct_route_on_unlike_code_denominators(self):
         rng = random.Random(8128)

@@ -8,6 +8,7 @@ import pytest
 from beliefkit import (
     Code,
     CodeNotPossible,
+    ConstrainingRelation,
     DuplicateCodeName,
     EvidenceModel,
     Frame,
@@ -153,6 +154,35 @@ class TestCompatibilitySets:
         relation = example1.constraining_relation("APPLE")
         with pytest.raises(CodeNotPossible):
             relation.compatibility_set("s9")
+
+    def test_reading_the_sets_leaves_the_record_unchanged(self):
+        models = [load_model(bundled_model_path("example2")) for _ in range(3)]
+        by_sets, by_mass, unread = (model.constraining_relation("BANANA") for model in models)
+        before = repr(unread)
+        for name in by_sets.possible_codes():
+            by_sets.compatibility_set(name)
+        models[1].derive_mass("BANANA")
+        assert "_compatibility" not in vars(unread)
+        for read in (by_sets, by_mass):
+            assert "_compatibility" in vars(read)
+            assert read == unread and hash(read) == hash(unread)
+            assert repr(read) == repr(unread) == before
+            assert read.pairs == unread.pairs
+            assert read.possible_codes() == unread.possible_codes()
+
+    def test_hand_built_record_with_an_empty_entry(self):
+        # s0 pairs with no plaintext: its own lookup raises IndexError, and
+        # the other codes' sets must still be read, before and after it.
+        relation = ConstrainingRelation(
+            {"s1": (NO, TOP), "s0": (), "s2": (YES,)}, {"s1": 1, "s0": 1, "s2": 2}, 4
+        )
+        expected = {"s1": TOP, "s0": IndexError, "s2": YES, "s9": CodeNotPossible}
+        for name, outcome in chain(expected.items(), reversed(expected.items())):
+            if isinstance(outcome, type):
+                with pytest.raises(outcome):
+                    relation.compatibility_set(name)
+            else:
+                assert relation.compatibility_set(name) == outcome
 
 
 class TestDeriveMass:
