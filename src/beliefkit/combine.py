@@ -125,13 +125,18 @@ def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationRe
     size = m1.frame.size
     cells = 1 << size
     full = cells - 1
+    # Every partial sum forward adds up some of a mass's non-negative
+    # numerators, so its denominator bounds it.  Part-way through, the
+    # inverse holds a partial zeta transform of the non-negative unnormalised
+    # combination, whose cells total d1 * d2.
     tables = []
     for mass in (m1, m2):
         table = [0] * cells
         for bits, n in mass._numerators.items():
             table[full ^ bits] = n
-        tables.append(_lattice_transform(table, size, inverse=False))
-    product = _lattice_transform(list(map(mul, *tables)), size, inverse=True)
+        tables.append(_lattice_transform(table, size, False, mass._denominator))
+    bound = m1._denominator * m2._denominator
+    product = _lattice_transform(list(map(mul, *tables)), size, True, bound)
     # The last cell holds the conflict; reversed, the rest hold A at index A - 1.
     conflict = product.pop()
     product.reverse()

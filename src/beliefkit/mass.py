@@ -10,23 +10,26 @@ Internally a mass function is held as ``int`` bitmasks and integer numerators
 over one common denominator, so Bel/Pl queries, belief-table inversion and
 Dempster's rule (:mod:`beliefkit.combine`) run on integers alone.  Values come
 in through one intake: each is read once as an integer ratio into a column of
-numerators and a column of denominators, and scaled to the lcm by a factor
-computed once per distinct denominator.  A mass keeps a dict of positive
-numerators that is already in ascending bitmask order over the least common
-denominator as it is handed over; only other dicts are sorted and reduced.
+numerators and a column of denominators, and scaled to the lcm of the
+distinct denominators.  A mass keeps a dict of positive numerators that is
+already in ascending bitmask order over the least common denominator as it
+is handed over; only other dicts are sorted and reduced.
 :class:`SubsetMask` and :class:`Fraction` values are built only where they
 leave the API.
 
 Dense work goes through one transform over the subset lattice, size passes
 over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
 transformation", UAI 1990).  The table is packed into one integer of
-fixed-width fields, each wide enough for ``max|cell| * 2^size`` and a sign
-bit (8, 16, 32 or 64 bits, then whole bytes), and each pass is one masked
-shift-and-add over the whole integer.  Summing up the lattice gives the table
-of Bel numerators: on frames of at most MAX_INVERSION_FRAME labels a mass
-builds it on its first Bel or Pl query and answers every query from it;
-larger frames scan the focal elements instead.  Subtracting down the lattice
-inverts a belief table in :meth:`from_belief`.  :mod:`beliefkit.combine`
+fixed-width fields, each wide enough for the caller's bound on every partial
+sum plus a sign bit (8, 16, 32 or 64 bits, then whole bytes), and each pass
+is one masked shift-and-add over the whole integer.  Summing up the lattice
+gives the table of Bel numerators: on frames of at most MAX_INVERSION_FRAME
+labels a mass builds it on its first Bel or Pl query and answers every query
+from it; larger frames scan the focal elements instead.  Every partial sum
+of that build adds up some of the mass's non-negative numerators, so the
+mass's denominator bounds it.  Subtracting down the lattice inverts a
+belief table in :meth:`from_belief`; that table may be anything, so its
+bound is the general one, ``max|cell| * 2^size``.  :mod:`beliefkit.combine`
 runs the same transform for Dempster's rule on dense pairs: both ways over
 reversed tables, which turns the subsets of a cell into its supersets.
 """
@@ -93,16 +96,13 @@ def _over_one_denominator(
 ) -> tuple[int, list[int]]:
     """The ratios ``numerators[k] / denominators[k]`` over their lcm.
 
-    Returns the lcm and each ratio's numerator over it; ``lcm // d`` is
-    computed once per distinct denominator d.
+    Returns the lcm and each ratio's numerator over it.
     """
-    distinct = set(denominators)
-    denominator = math.lcm(*distinct)
-    scale = {d: denominator // d for d in distinct}
-    return denominator, [n * scale[d] for n, d in zip(numerators, denominators)]
+    denominator = math.lcm(*set(denominators))
+    return denominator, [n * (denominator // d) for n, d in zip(numerators, denominators)]
 
 
-def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
+def _lattice_transform(table: list[int], size: int, inverse: bool, bound: int) -> list[int]:
     """Fold every cell of `table` with the cells below it, one bit at a time.
 
     Forward, each cell ``A`` of the returned table is the sum of the cells
@@ -110,9 +110,10 @@ def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
     passes subtract and undo it (the Möbius inverse).
 
     The table is packed into one integer of fixed-width fields, cell ``k``
-    in field ``k`` in offset binary (value + 2^(w-1)).  No partial sum
-    exceeds ``max|cell| * 2^size`` in magnitude, so the width w is the
-    smallest of 8, 16, 32 or 64 bits that holds that bound and a sign
+    in field ``k`` in offset binary (value + 2^(w-1)).  The caller passes
+    `bound`, at least the magnitude of every cell and of every partial sum
+    any pass makes; ``max|cell| * 2^size`` holds for any table.  The width
+    w is the smallest of 8, 16, 32 or 64 bits that holds `bound` and a sign
     bit, and past 64 bits a whole number of bytes; no field then ever
     leaves [0, 2^w).  Bit ``i`` is one masked shift-and-add over the whole
     table: the fields without bit ``i``, less their bias, shifted onto
@@ -121,8 +122,7 @@ def _lattice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
     or through ``int.to_bytes`` per cell past 64 bits.
     """
     cells = 1 << size
-    bits = max(max(table), -min(table)).bit_length() + size + 1
-    nbytes = -(-bits // 8)
+    nbytes = -(-(bound.bit_length() + 1) // 8)
     if nbytes <= 8:
         nbytes = 1 << (nbytes - 1).bit_length()
     width = nbytes * 8
@@ -237,9 +237,10 @@ class MassFunction:
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
         by the inverse lattice transform on the table's numerators over one
-        denominator, scaled once per distinct denominator: size
-        packed-integer passes, in fields wide enough for the largest
-        numerator times 2^size plus a sign bit.  Raises ValueError for a
+        denominator: size packed-integer passes, in fields wide enough for
+        the general bound on every partial sum, the largest numerator times
+        2^size, plus a sign bit.  The table is not yet known to be a belief
+        function, so no tighter bound holds.  Raises ValueError for a
         frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
         the table is not dense, Bel(full) != 1, Bel(empty) != 0, or any
         inverted mass is negative.
@@ -252,12 +253,12 @@ class MassFunction:
             )
         cells = 1 << size
         nums, dens = [0] * cells, [1] * cells
+        ratio = Fraction.as_integer_ratio
         for mask, value in belief.items():
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
-            value = value if value.__class__ is Fraction else exact(value)
             bits = mask.bits
-            nums[bits], dens[bits] = value.as_integer_ratio()
+            nums[bits], dens[bits] = ratio(value if value.__class__ is Fraction else exact(value))
         if len(belief) != cells:
             raise NotABeliefFunction(
                 f"belief table must cover all {cells} subsets, got {len(belief)}"
@@ -268,7 +269,8 @@ class MassFunction:
                 "expected 1"
             )
         denominator, table = _over_one_denominator(nums, dens)
-        table = _lattice_transform(table, size, inverse=True)
+        bound = max(max(table), -min(table)) << size
+        table = _lattice_transform(table, size, True, bound)
         if table[0] != 0:
             raise NotABeliefFunction(
                 f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
@@ -294,31 +296,30 @@ class MassFunction:
             for bits, n in self._numerators.items()
         )
 
-    def _require_frame(self, mask: SubsetMask) -> None:
+    def __getitem__(self, mask: SubsetMask) -> Fraction:
         if mask.frame is not self._frame and mask.frame != self._frame:
             raise FrameMismatch(f"{mask} does not belong to the frame")
-
-    def __getitem__(self, mask: SubsetMask) -> Fraction:
-        self._require_frame(mask)
         return Fraction(self._numerators.get(mask.bits, 0), self._denominator)
 
     def _belief_numerator(self, bits: int) -> int:
         """Numerator of Bel(`bits`): the focal elements inside `bits`.
 
-        Read from the Bel table, built on the first query; frames past
-        MAX_INVERSION_FRAME scan the focal elements instead.
+        Called while there is no Bel table: builds it and reads it; frames
+        past MAX_INVERSION_FRAME scan the focal elements instead.  `bits`
+        may be ``~B`` for the complement of B: as a mask it keeps the focal
+        elements that miss B, and as an index it reads cell ``full ^ B``.
         """
-        table = self._belief_table
-        if table is None:
-            size = self._frame.size
-            if size > MAX_INVERSION_FRAME:
-                outside = ~bits
-                return sum([n for focal, n in self._numerators.items() if not focal & outside])
-            table = [0] * (1 << size)
-            for focal, n in self._numerators.items():
-                table[focal] = n
-            table = self._belief_table = _lattice_transform(table, size, inverse=False)
-        return table[bits]
+        size = self._frame.size
+        if size > MAX_INVERSION_FRAME:
+            outside = ~bits
+            return sum([n for focal, n in self._numerators.items() if not focal & outside])
+        table = [0] * (1 << size)
+        for focal, n in self._numerators.items():
+            table[focal] = n
+        # Each partial sum adds up some of the non-negative numerators,
+        # which total the denominator.
+        self._belief_table = _lattice_transform(table, size, False, self._denominator)
+        return self._belief_table[bits]
 
     def belief(self, mask: SubsetMask) -> Fraction:
         """Total mass of focal elements contained in `mask`.
@@ -326,19 +327,22 @@ class MassFunction:
         Read from the Bel table, built on the first query, or by a scan of
         the focal elements on frames past MAX_INVERSION_FRAME.
         """
-        self._require_frame(mask)
-        return Fraction(self._belief_numerator(mask.bits), self._denominator)
+        if mask.frame is not self._frame and mask.frame != self._frame:
+            raise FrameMismatch(f"{mask} does not belong to the frame")
+        table, bits = self._belief_table, mask.bits
+        numerator = self._belief_numerator(bits) if table is None else table[bits]
+        return Fraction(numerator, self._denominator)
 
     def plausibility(self, mask: SubsetMask) -> Fraction:
         """Mass not committed against `mask`: 1 - Bel(complement).
 
         Read the same way as :meth:`belief`.
         """
-        self._require_frame(mask)
-        complement = mask.bits ^ ((1 << self._frame.size) - 1)
-        return Fraction(
-            self._denominator - self._belief_numerator(complement), self._denominator
-        )
+        if mask.frame is not self._frame and mask.frame != self._frame:
+            raise FrameMismatch(f"{mask} does not belong to the frame")
+        table, against = self._belief_table, ~mask.bits  # Bel of the complement
+        numerator = self._belief_numerator(against) if table is None else table[against]
+        return Fraction(self._denominator - numerator, self._denominator)
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""

@@ -282,6 +282,27 @@ def prime_fractions(rng, count):
     return values
 
 
+def fractions_over(denominator):
+    """A `fractions` for random_mass whose values have lcm `denominator`.
+
+    Each call gives `count` positive fractions summing exactly to 1: one is
+    ``1 / denominator`` and the rest split what remains at random.  Needs
+    ``2 <= count <= denominator``.
+    """
+
+    def fractions(rng, count):
+        cuts = set()
+        while len(cuts) < count - 2:
+            cuts.add(rng.randrange(1, denominator - 1))
+        edges = [0, *sorted(cuts), denominator - 1]
+        values = [Fraction(1, denominator)]
+        values += [Fraction(b - a, denominator) for a, b in zip(edges, edges[1:])]
+        rng.shuffle(values)
+        return values
+
+    return fractions
+
+
 def wide_frame(size):
     """A frame of `size` labels ``h0``, ``h1``, ..., for sizes past LABEL_POOL."""
     return Frame(tuple(f"h{i}" for i in range(size)))

@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from beliefkit.mass import MAX_INVERSION_FRAME
 from helpers import (
     MANY_CODES,
     as_set_dict,
+    fractions_over,
     mixed_fractions,
     oracle_combine,
     oracle_combine_models,
@@ -198,6 +201,49 @@ class TestCommonalityRoute:
         for focal in (3, 24):
             m1, m2 = mass_pair(rng, frame, focal, fractions)
             assert_routes_agree(m1, m2)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 80])
+    def test_products_on_each_side_of_a_field_width(self, width):
+        # The inverse pass is sized by d1 * d2, which its input reaches in
+        # the cell of the empty set's commonality: a product of width - 1
+        # bits fits fields of `width` bits, one bit more needs the next.
+        rng = random.Random(6000 + width)
+        frame = wide_frame(6)
+        a = (width - 1) // 2
+        b = width - 1 - a
+        for d1, d2, bits in (((1 << a) - 1, (1 << b) - 1, width - 1), (1 << a, 1 << b, width)):
+            assert (d1 * d2).bit_length() == bits
+            m1, m2 = (
+                random_mass(rng, frame, min(24, d), 2, fractions_over(d)) for d in (d1, d2)
+            )
+            assert (m1._denominator, m2._denominator) == (d1, d2)
+            assert assert_routes_agree(m1, m2) is not None
+
+    @pytest.mark.parametrize(
+        "fractions, fields",
+        [(fractions_over((1 << 31) - 1), ["<1024i", "<1024i", "<1024q"]), (prime_fractions, [])],
+        ids=["q-fields", "whole-bytes"],
+    )
+    def test_dense_pair_fields_on_10_labels(self, fractions, fields, monkeypatch):
+        # d1 * d2 of 62 bits keeps the inverse in 64-bit fields, which the
+        # general bound, max|cell| * 2^10, would overflow.  Over the large
+        # primes d1 * d2 is past 2^128, and every pass packs whole bytes.
+        packed = []
+
+        def pack(form, *values):
+            packed.append(form)
+            return struct.pack(form, *values)
+
+        rng = random.Random(1010)
+        frame = wide_frame(10)
+        m1, m2 = mass_pair(rng, frame, 67, fractions)
+        assert 67 * 67 > dense_threshold(10)
+        product = m1._denominator * m2._denominator
+        assert (53 < product.bit_length() <= 63) if fields else (product > 1 << 128)
+        monkeypatch.setattr(mass, "struct", SimpleNamespace(pack=pack, unpack=struct.unpack))
+        direct = assert_routes_agree(m1, m2)
+        assert packed == fields
+        assert combine_masses(m1, m2) == direct
 
     def test_total_conflict_on_both_routes(self):
         frame = wide_frame(8)

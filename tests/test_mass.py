@@ -21,6 +21,7 @@ from beliefkit.mass import MAX_INVERSION_FRAME, _lattice_transform
 
 from helpers import (
     as_set_dict,
+    fractions_over,
     mixed_fractions,
     oracle_belief,
     oracle_lattice_transform,
@@ -137,6 +138,23 @@ class TestBeliefAndPlausibility:
     def test_foreign_frame_query_rejected(self):
         with pytest.raises(FrameMismatch):
             spy_mass().belief(Frame(("a", "b")).full())
+        # Both paths: a Bel table on 3 labels, a scan on 13.  A frame of
+        # other labels is refused, before the table is built and after; an
+        # equal frame that is another object is accepted.
+        for size in (3, MAX_INVERSION_FRAME + 1):
+            frame = wide_frame(size)
+            m = random_mass(random.Random(size), frame, max_focal=8, min_focal=2)
+            foreign = Frame(tuple(f"x{i}" for i in range(size))).full()
+            twin = wide_frame(size)
+            assert twin is not frame and twin == frame
+            for _ in range(2):
+                for query in (m.belief, m.plausibility, m.__getitem__):
+                    with pytest.raises(FrameMismatch, match="does not belong to the frame"):
+                        query(foreign)
+                assert m.belief(twin.full()) == 1
+                assert m.plausibility(twin.empty()) == 0
+                assert m[twin.full()] == m[frame.full()]
+            assert (m._belief_table is None) is (size > MAX_INVERSION_FRAME)
 
 
 class TestIsBayesian:
@@ -320,6 +338,11 @@ def extreme_tables(size, magnitude):
     return tables
 
 
+def general_transform(table, size, inverse):
+    """The packed transform at the bound that holds for any table."""
+    return _lattice_transform(table, size, inverse, max(max(table), -min(table)) << size)
+
+
 class TestPackedTransform:
     """The packed-integer lattice transform against the per-cell reference,
     on signed tables and on each side of every field-width boundary."""
@@ -331,7 +354,7 @@ class TestPackedTransform:
         for bits in (1, 6, 20, 45):
             table = [rng.randint(-(1 << bits), 1 << bits) for _ in range(1 << size)]
             expected = oracle_lattice_transform(table, size, inverse)
-            assert _lattice_transform(table, size, inverse) == expected
+            assert general_transform(table, size, inverse) == expected
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_each_side_of_the_width_boundaries(self, width):
@@ -343,7 +366,27 @@ class TestPackedTransform:
                 for table in extreme_tables(size, magnitude):
                     for inverse in (False, True):
                         expected = oracle_lattice_transform(table, size, inverse)
-                        assert _lattice_transform(table, size, inverse) == expected
+                        assert general_transform(table, size, inverse) == expected
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 80])
+    def test_bel_tables_on_each_side_of_the_denominator_bound(self, width):
+        # The Bel table is sized by the denominator, which it reaches at the
+        # full set: one of width - 1 bits fits fields of `width` bits, one
+        # bit more needs the next width.
+        rng = random.Random(9000 + width)
+        for size in (3, 7):
+            frame = wide_frame(size)
+            labels = frozenset(frame.labels)
+            for denominator in ((1 << (width - 1)) - 1, 1 << (width - 1)):
+                m = random_mass(
+                    rng, frame, max_focal=20, min_focal=2, fractions=fractions_over(denominator)
+                )
+                assert m._denominator == denominator
+                by_set = as_set_dict(m)
+                for subset in powerset(frame.labels):
+                    mask = frame.subset(subset)
+                    assert m.belief(mask) == oracle_belief(by_set, subset)
+                    assert m.plausibility(mask) == 1 - oracle_belief(by_set, labels - subset)
 
     @pytest.mark.parametrize("bits", [70, 200])
     def test_cells_past_64_bits(self, bits):
@@ -354,7 +397,7 @@ class TestPackedTransform:
             for table in [random_table, *extreme_tables(size, magnitude)]:
                 for inverse in (False, True):
                     expected = oracle_lattice_transform(table, size, inverse)
-                    assert _lattice_transform(table, size, inverse) == expected
+                    assert general_transform(table, size, inverse) == expected
 
     @pytest.mark.parametrize("size", [2, 3, 6, 8, 10])
     def test_round_trip_over_large_prime_denominators(self, size):
