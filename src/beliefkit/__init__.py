@@ -36,6 +36,7 @@ from .errors import (
     NoAcceptedTrials,
     NotABeliefFunction,
     ProbabilitySumError,
+    RationalTooLarge,
     TotalConflict,
     UndefinedOdds,
     UnknownLabel,
@@ -82,6 +83,7 @@ __all__ = [
     "PosteriorReport",
     "PriorSpec",
     "ProbabilitySumError",
+    "RationalTooLarge",
     "Report",
     "SimulationReport",
     "SubsetMask",

@@ -1,4 +1,4 @@
-"""Dempster's rule of combination, implemented three independent ways.
+"""Dempster's rule of combination, by three routes.
 
 :func:`combine_masses` works directly on two mass functions, by one of two
 routes chosen by size.  Most pairs intersect every pair of focal elements,
@@ -6,12 +6,13 @@ set aside the product mass that lands on the empty set as conflict, and
 renormalize.  Dense pairs on frames of at most MAX_INVERSION_FRAME labels
 multiply the two commonality tables cell by cell instead and invert the
 product with the lattice transform of :mod:`beliefkit.mass`.
-:func:`combine_models` never builds the two mass functions; it walks the
-joint constraining relation of two coded-message models code pair by code
-pair and pools conditional product probability onto Γ₁(c₁) ∩ Γ₂(c₂), the
-meet of the two codes' compatibility sets, which each relation computes
-once.  The three routes agree exactly, combined mass and conflict both,
-which the test suite checks across random model pairs.
+:func:`combine_models` never builds the two mass functions; it pools each
+code pair's product weight onto Γ₁(c₁) ∩ Γ₂(c₂), the meet of the two codes'
+compatibility sets, which each relation computes once.  It and the
+focal-intersection route run one pairwise kernel; their independence lies in
+its input, one Γ per code rather than pooled focal elements.  The three
+routes agree exactly, combined mass and conflict both, which the test suite
+checks across random model pairs and against set oracles.
 
 Every route pools integer products of common-denominator numerators onto
 ``int`` bitmasks and counts conflict as an integer over the product of the
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import mul
+from typing import Iterable
 
 from .errors import FrameMismatch, TotalConflict
 from .frames import Frame
@@ -53,14 +55,26 @@ def _renormalized(
     return CombinationResult(combined, Fraction(conflict, total))
 
 
-def _pooled_masses(
-    m1: MassFunction, m2: MassFunction, pooled: dict[int, int], conflict: int
+def _pairwise(
+    frame: Frame, left: Iterable, right: Iterable, total: int, why: str
 ) -> CombinationResult:
-    """Renormalize the pooled products of two masses' numerators."""
-    total = m1._denominator * m2._denominator
-    return _renormalized(
-        m1.frame, pooled, conflict, total, "every focal intersection is empty"
-    )
+    """Dempster's rule on two lists of ``(bits, integer weight)`` pairs.
+
+    Pools each product on the meet of its two bit sets, or on the conflict
+    when the meet is empty, and renormalizes over `total`, the sum of all
+    products; raises TotalConflict with the text `why` if all of it conflicts.
+    """
+    right = tuple(right)
+    pooled: dict[int, int] = {}
+    conflict = 0
+    for bits1, x1 in left:
+        for bits2, x2 in right:
+            meet = bits1 & bits2
+            if meet:
+                pooled[meet] = pooled.get(meet, 0) + x1 * x2
+            else:
+                conflict += x1 * x2
+    return _renormalized(frame, pooled, conflict, total, why)
 
 
 # The dispatch rule of combine_masses.  The intersection loop costs one step
@@ -98,17 +112,9 @@ def combine_masses(m1: MassFunction, m2: MassFunction) -> CombinationResult:
 
 def _combine_by_intersection(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """Dempster's rule by intersecting every pair of focal elements."""
-    right = tuple(m2._numerators.items())
-    pooled: dict[int, int] = {}
-    conflict = 0
-    for bits1, x1 in m1._numerators.items():
-        for bits2, x2 in right:
-            meet = bits1 & bits2
-            if meet:
-                pooled[meet] = pooled.get(meet, 0) + x1 * x2
-            else:
-                conflict += x1 * x2
-    return _pooled_masses(m1, m2, pooled, conflict)
+    total = m1._denominator * m2._denominator
+    left, right = m1._numerators.items(), m2._numerators.items()
+    return _pairwise(m1.frame, left, right, total, "every focal intersection is empty")
 
 
 def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationResult:
@@ -141,7 +147,7 @@ def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationRe
     conflict = product.pop()
     product.reverse()
     pooled = dict(zip(compress(range(1, cells), product), filter(None, product)))
-    return _pooled_masses(m1, m2, pooled, conflict)
+    return _renormalized(m1.frame, pooled, conflict, bound, "every focal intersection is empty")
 
 
 def combine_models(
@@ -165,18 +171,7 @@ def combine_models(
     relation2 = model2.constraining_relation(message2)
     if not relation1.decoded or not relation2.decoded:
         raise TotalConflict("one of the messages cannot be produced by any code")
-    right = [(relation2.weights[name], bits) for name, bits in relation2._compatibility.items()]
-    pooled: dict[int, int] = {}
-    conflict = 0
-    for name1, bits1 in relation1._compatibility.items():
-        w1 = relation1.weights[name1]
-        for w2, bits2 in right:
-            compat = bits1 & bits2
-            if compat:
-                pooled[compat] = pooled.get(compat, 0) + w1 * w2
-            else:
-                conflict += w1 * w2
     total = sum(relation1.weights.values()) * sum(relation2.weights.values())
-    return _renormalized(
-        model1.frame, pooled, conflict, total, "the two messages rule out every code pair"
-    )
+    left, right = relation1._compatibility.values(), relation2._compatibility.values()
+    why = "the two messages rule out every code pair"
+    return _pairwise(model1.frame, left, right, total, why)

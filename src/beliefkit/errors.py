@@ -84,3 +84,7 @@ class NoAcceptedTrials(BeliefkitError):
 
 class ModelSyntaxError(BeliefkitError):
     """A model document cannot be parsed; the message carries position context."""
+
+
+class RationalTooLarge(BeliefkitError):
+    """An exact value has an integer with more digits than Python writes as text."""

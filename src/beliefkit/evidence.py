@@ -19,15 +19,15 @@ every later one; no other message's relation is built.  Each
 :class:`ConstrainingRelation` is one record: what every possible code
 decodes the message to, and each such code's prior probability as an
 integer weight over one common denominator.  It computes each code's
-compatibility set Γ(c) once, on first read: ``derive_mass`` pools on
-Γ(c), and the product route of :mod:`beliefkit.combine` on Γ₁ ∩ Γ₂.  The
+compatibility set Γ(c) once, on first read, and pairs it with the code's
+weight: ``derive_mass`` pools each weight on its Γ(c), and the product
+route of :mod:`beliefkit.combine` each product of two on Γ₁ ∩ Γ₂.  The
 belief route here and the Bayesian route in :mod:`beliefkit.bayes` read the
 same record; they differ only in the total they divide the weights by.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -101,10 +101,11 @@ class ConstrainingRelation:
     plaintexts it decodes the message to, in the model's ``plaintexts``
     order; ``weights`` gives each such code's prior probability as an integer
     over ``denominator``, the lcm of those probabilities' denominators.  Each
-    code's compatibility set Γ(c), read by ``derive_mass`` and (as Γ₁ ∩ Γ₂)
-    by ``combine_models``, is computed once per record on first read; it is
-    no field, so ``==``, ``hash`` and ``repr`` ignore it.  A model shares its
-    records with every reader; like ``Code.codebook``, they must not be mutated.
+    code's compatibility set Γ(c) is computed once per record on first read
+    and paired with its weight; ``derive_mass`` and ``combine_models`` read
+    those pairs.  They are no field, so ``==``, ``hash`` and ``repr`` ignore
+    them.  A model shares its records with every reader; like
+    ``Code.codebook``, they must not be mutated.
     """
 
     decoded: Mapping[str, tuple[SubsetMask, ...]] = field(hash=False)
@@ -121,15 +122,18 @@ class ConstrainingRelation:
         return tuple(self.decoded)
 
     @cached_property
-    def _compatibility(self) -> dict[str, int]:
-        """Each possible code's name -> bits of its compatibility set, ``decoded`` order."""
-        return {name: reduce(or_, [m.bits for m in ms], 0) for name, ms in self.decoded.items()}
+    def _compatibility(self) -> dict[str, tuple[int, int]]:
+        """Each possible code's name -> (bits of its Γ, its weight), ``decoded`` order."""
+        return {
+            name: (reduce(or_, [m.bits for m in ms], 0), self.weights[name])
+            for name, ms in self.decoded.items()
+        }
 
     def compatibility_set(self, name: str) -> SubsetMask:
         """Union of all plaintexts the relation pairs with code `name`."""
         if name not in self.decoded:
             raise CodeNotPossible(f"code {name!r} is not in the constraining relation")
-        return SubsetMask(self.decoded[name][0].frame, self._compatibility[name])
+        return SubsetMask(self.decoded[name][0].frame, self._compatibility[name][0])
 
 
 @dataclass(frozen=True)
@@ -258,11 +262,10 @@ class EvidenceModel:
                 if masks:
                     decoded[code.name] = masks
                     probs.append(code.prob)
-            denominator = math.lcm(*(prob.denominator for prob in probs))
-            weights = {
-                name: prob.numerator * (denominator // prob.denominator)
-                for name, prob in zip(decoded, probs)
-            }
+            denominator, scaled = _over_one_denominator(
+                [prob.numerator for prob in probs], [prob.denominator for prob in probs]
+            )
+            weights = dict(zip(decoded, scaled))
             self._relations[m] = ConstrainingRelation(decoded, weights, denominator)
         return self._relations[m]
 
@@ -278,6 +281,6 @@ class EvidenceModel:
         if not relation.decoded:
             raise TotalConflict(f"no code can produce message {message!r}")
         pooled: dict[int, int] = {}
-        for name, bits in relation._compatibility.items():
-            pooled[bits] = pooled.get(bits, 0) + relation.weights[name]
+        for bits, weight in relation._compatibility.values():
+            pooled[bits] = pooled.get(bits, 0) + weight
         return MassFunction._from_numerators(self.frame, sum(relation.weights.values()), pooled)

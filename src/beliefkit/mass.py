@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping
@@ -49,6 +50,7 @@ from .errors import (
     MassOnEmptySet,
     NegativeMass,
     NotABeliefFunction,
+    RationalTooLarge,
 )
 from .frames import Frame, SubsetMask
 
@@ -74,10 +76,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as ``p/q``, or ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as ``p/q``, or ``p`` when the denominator is 1.
+
+    Raises RationalTooLarge when ``p`` or ``q`` has more decimal digits than
+    Python converts to text (``sys.get_int_max_str_digits()``, 4300 by default).
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise RationalTooLarge(
+            "exact value too large to write: one of its integers has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
 
 
 def exact(value: object) -> Fraction:

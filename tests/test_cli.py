@@ -417,6 +417,42 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ModelSyntaxError")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("form", ["combine-direct", "combine-product", "prior-file"])
+    def test_result_too_large_to_write_is_domain_error(self, capsys, tmp_path, form, fmt):
+        # s1 (probability 1/P) and s2 swap X and Y, so each document's mass has
+        # a 3001-digit denominator; the combination of two documents, or the
+        # posterior under a prior over a 2001-digit denominator, has one past
+        # the 4300 digits Python writes
+        paths = []
+        for p in (10**3000 + 3, 10**3000 + 7):
+            doc = {
+                "frame": ["a", "b"],
+                "messages": ["X", "Y"],
+                "plaintexts": [["a"], ["b"]],
+                "codes": [
+                    {"name": "s1", "prob": f"1/{p}", "map": {"{a}": "X", "{b}": "Y"}},
+                    {"name": "s2", "prob": f"{p - 1}/{p}", "map": {"{a}": "Y", "{b}": "X"}},
+                ],
+                "observed": "X",
+            }
+            paths.append(tmp_path / f"model{len(paths)}.json")
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        r = 10**2000 + 11
+        prior = tmp_path / "prior.json"
+        prior.write_text(
+            json.dumps({"weights": {"{a}": f"1/{r}", "{b}": f"{r - 1}/{r}"}}), encoding="utf-8"
+        )
+        argv = {
+            "combine-direct": ["combine", *map(str, paths), "--method", "direct"],
+            "combine-product": ["combine", *map(str, paths), "--method", "product"],
+            "prior-file": ["bayes", str(paths[0]), "--prior-file", str(prior)],
+        }[form]
+        status, out, err = run(capsys, *argv, "--format", fmt)
+        assert (status, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: RationalTooLarge: ")
+
     def test_module_entry_point_matches_run_command(self, capsys, example1_path):
         env = {**os.environ, "PYTHONPATH": str(Path(beliefkit.__file__).resolve().parents[1])}
         argvs = [

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from beliefkit import (
     MassOnEmptySet,
     NegativeMass,
     NotABeliefFunction,
+    RationalTooLarge,
     SubsetMask,
     format_rational,
     parse_rational,
@@ -696,3 +698,15 @@ class TestRationalText:
     def test_format_round_trips(self):
         for value in (F(2, 3), F(1), F(0), F(7, 5), F(-3, 4)):
             assert parse_rational(format_rational(value)) == value
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs Python's default limit of 4300 digits for int-to-str",
+    )
+    def test_format_up_to_the_digit_limit(self):
+        # 10**4299 has 4300 digits, the most Python writes by default
+        for value in (F(10**4299), F(1, 10**4299), F(-(10**4299) - 1, 3)):
+            assert parse_rational(format_rational(value)) == value
+        for value in (F(10**4300), F(1, 10**4300), F(-(10**4300) - 1, 3)):
+            with pytest.raises(RationalTooLarge, match=r"^exact value too large to write: "):
+                format_rational(value)
