@@ -40,7 +40,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .frames import SubsetMask
-from .mass import MassFunction, exact, format_rational
+from .mass import MassFunction, _diagnostic_text, exact
 from .evidence import EvidenceModel
 
 SIMULATION_ALGORITHM = "mt19937"
@@ -71,12 +71,12 @@ class PriorSpec:
                 raise InvalidPrior("the empty set cannot carry prior weight")
             if value < 0:
                 raise InvalidPrior(
-                    f"prior weight of {mask} is negative: {format_rational(value)}"
+                    f"prior weight of {mask} is negative: {_diagnostic_text(value)}"
                 )
         total = sum(weights.values(), Fraction(0))
         if total != 1:
             raise InvalidPrior(
-                f"prior weights sum to {format_rational(total)}, expected 1"
+                f"prior weights sum to {_diagnostic_text(total)}, expected 1"
             )
         object.__setattr__(self, "weights", weights)
 
@@ -201,7 +201,7 @@ def _positive_odds(odds: Fraction) -> Fraction:
     """`odds` as an exact rational; raises InvalidPrior unless it is positive."""
     odds = exact(odds)
     if odds <= 0:
-        raise InvalidPrior(f"prior odds must be positive, got {format_rational(odds)}")
+        raise InvalidPrior(f"prior odds must be positive, got {_diagnostic_text(odds)}")
     return odds
 
 

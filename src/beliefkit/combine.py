@@ -131,10 +131,11 @@ def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationRe
     size = m1.frame.size
     cells = 1 << size
     full = cells - 1
-    # Every partial sum forward adds up some of a mass's non-negative
-    # numerators, so its denominator bounds it.  Part-way through, the
-    # inverse holds a partial zeta transform of the non-negative unnormalised
-    # combination, whose cells total d1 * d2.
+    # The kernel's unsigned fields need every cell and partial sum
+    # non-negative and within the bound.  Every partial sum forward adds up
+    # some of a mass's non-negative numerators, so its denominator bounds it.
+    # Part-way through, the inverse holds a partial zeta transform of the
+    # non-negative unnormalised combination, whose cells total d1 * d2.
     tables = []
     for mass in (m1, m2):
         table = [0] * cells

@@ -45,7 +45,7 @@ from .errors import (
     UnknownMessage,
 )
 from .frames import Frame, SubsetMask, _check_text
-from .mass import MassFunction, _over_one_denominator, format_rational
+from .mass import MassFunction, _diagnostic_text, _over_one_denominator
 
 
 @dataclass(frozen=True, eq=True)
@@ -182,7 +182,7 @@ class EvidenceModel:
             if code.prob.numerator <= 0:
                 raise ProbabilitySumError(
                     f"code {code.name!r} has non-positive probability "
-                    f"{format_rational(code.prob)}"
+                    f"{_diagnostic_text(code.prob)}"
                 )
         denominator, numerators = _over_one_denominator(
             [code.prob.numerator for code in self.codes],
@@ -191,7 +191,7 @@ class EvidenceModel:
         total = sum(numerators)
         if total != denominator:
             raise ProbabilitySumError(
-                f"code probabilities sum to {format_rational(Fraction(total, denominator))}, "
+                f"code probabilities sum to {_diagnostic_text(Fraction(total, denominator))}, "
                 "expected 1"
             )
         if self.observed is not None and self.observed not in self.messages:

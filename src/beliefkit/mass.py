@@ -20,17 +20,17 @@ leave the API.
 Dense work goes through one transform over the subset lattice, size passes
 over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
 transformation", UAI 1990).  The table is packed into one integer of
-fixed-width fields, each wide enough for the caller's bound on every partial
-sum plus a sign bit (8, 16, 32 or 64 bits, then whole bytes), and each pass
-is one masked shift-and-add over the whole integer.  Summing up the lattice
+unsigned fields wide enough for the caller's bound on every cell and partial
+sum, all non-negative, and each pass is one masked shift-and-add over the
+whole integer; past 64 bits a slice transform runs.  Summing up the lattice
 gives the table of Bel numerators: on frames of at most MAX_INVERSION_FRAME
 labels a mass builds it on its first Bel or Pl query and answers every query
 from it; larger frames scan the focal elements instead.  Every partial sum
 of that build adds up some of the mass's non-negative numerators, so the
 mass's denominator bounds it.  Subtracting down the lattice inverts a
-belief table in :meth:`from_belief`; that table may be anything, so its
-bound is the general one, ``max|cell| * 2^size``.  :mod:`beliefkit.combine`
-runs the same transform for Dempster's rule on dense pairs: both ways over
+belief table in :meth:`from_belief`, in fields sized by its denominator,
+confirmed by the forward passes.  :mod:`beliefkit.combine` runs the same
+transform for Dempster's rule on dense pairs: both ways over
 reversed tables, which turns the subsets of a cell into its supersets.
 """
 
@@ -42,6 +42,7 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import compress
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -57,8 +58,8 @@ from .frames import Frame, SubsetMask
 # Dense belief-table inversion allocates 2^size cells; keep it desk-scale.
 MAX_INVERSION_FRAME = 12
 
-# The lattice transform's signed struct codes, by standard size in bytes.
-_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# The lattice transform's unsigned struct codes, by field width in bits.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -92,6 +93,14 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
+def _diagnostic_text(value: Fraction) -> str:
+    """:func:`format_rational`, or a fixed phrase for a value too large to write."""
+    try:
+        return format_rational(value)
+    except RationalTooLarge:
+        return "a value too large to write"
+
+
 def exact(value: object) -> Fraction:
     """Coerce ints, Fractions, and rational literals; reject floats."""
     if isinstance(value, Fraction):
@@ -114,6 +123,48 @@ def _over_one_denominator(
     return denominator, [n * (denominator // d) for n, d in zip(numerators, denominators)]
 
 
+def _field_width(bound: int) -> int:
+    """The smallest of 8, 16, 32 or 64 bits that holds `bound`, or more past that."""
+    return 8 << ((bound.bit_length() - 1) >> 3).bit_length()
+
+
+def _passes(packed: int, size: int, width: int, inverse: bool) -> int:
+    """The lattice transform on fields of `width` bits: for bit ``i``, the
+    fields whose index has ``i`` clear, shifted onto their partners with it."""
+    # The low half for the top bit; each finer mask from the one above.
+    low = (1 << (width << (size - 1))) - 1
+    for i in reversed(range(size)):
+        shift = width << i
+        step = (packed & low) << shift
+        packed = packed - step if inverse else packed + step
+        if i:
+            low ^= low << (shift >> 1)
+    return packed
+
+
+def _slice_transform(table: list[int], size: int, inverse: bool) -> list[int]:
+    """The lattice transform by strided slices of cells, exact on any integers.
+
+    Bit ``i`` updates the cells with it from their partners without it, by
+    one slice per offset in a block of ``2^(i+1)`` cells or one per block,
+    whichever is fewer.  Returns a new list.
+    """
+    op = sub if inverse else add
+    table = list(table)
+    cells = 1 << size
+    for i in range(size):
+        half = 1 << i
+        step = half << 1
+        if half <= cells // step:
+            for hi in range(half, step):
+                table[hi::step] = map(op, table[hi::step], table[hi - half :: step])
+        else:
+            for lo in range(0, cells, step):
+                hi = lo + half
+                table[hi : lo + step] = map(op, table[hi : lo + step], table[lo:hi])
+    return table
+
+
 def _lattice_transform(table: list[int], size: int, inverse: bool, bound: int) -> list[int]:
     """Fold every cell of `table` with the cells below it, one bit at a time.
 
@@ -121,48 +172,17 @@ def _lattice_transform(table: list[int], size: int, inverse: bool, bound: int) -
     of the subsets of ``A`` (the zeta transform); with `inverse` the same
     passes subtract and undo it (the Möbius inverse).
 
-    The table is packed into one integer of fixed-width fields, cell ``k``
-    in field ``k`` in offset binary (value + 2^(w-1)).  The caller passes
-    `bound`, at least the magnitude of every cell and of every partial sum
-    any pass makes; ``max|cell| * 2^size`` holds for any table.  The width
-    w is the smallest of 8, 16, 32 or 64 bits that holds `bound` and a sign
-    bit, and past 64 bits a whole number of bytes; no field then ever
-    leaves [0, 2^w).  Bit ``i`` is one masked shift-and-add over the whole
-    table: the fields without bit ``i``, less their bias, shifted onto
-    their partners with it.  Cells go in and out through little-endian
-    ``struct`` fields of that standard size, the same on every platform,
-    or through ``int.to_bytes`` per cell past 64 bits.
+    `bound` is at least every cell and partial sum, all non-negative, so no
+    pass carries or borrows across the unsigned fields of :func:`_field_width`
+    bits, packed as little-endian ``struct`` fields of standard size, the
+    same on every platform.  Past 64 bits the slice transform runs.
     """
-    cells = 1 << size
-    nbytes = -(-(bound.bit_length() + 1) // 8)
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()
-    width = nbytes * 8
-    code = _FIELD_CODES.get(nbytes)
-    if code is None:
-        data = b"".join([n.to_bytes(nbytes, "little", signed=True) for n in table])
-    else:
-        fields = f"<{cells}{code}"
-        data = struct.pack(fields, *table)
-    # Two's complement to offset binary: flip each field's top bit.
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * cells, "little")
-    packed = int.from_bytes(data, "little") ^ bias
-    # Fields whose index has bit i clear: the low half for the top bit, and
-    # each finer mask from the one above by a shift and an exclusive or.
-    low = (1 << (width << (size - 1))) - 1
-    for i in reversed(range(size)):
-        shift = width << i
-        step = ((packed & low) - (bias & low)) << shift
-        packed = packed - step if inverse else packed + step
-        if i:
-            low ^= low << (shift >> 1)
-    data = (packed ^ bias).to_bytes(nbytes << size, "little")
-    if code is None:
-        return [
-            int.from_bytes(data[k : k + nbytes], "little", signed=True)
-            for k in range(0, len(data), nbytes)
-        ]
-    return list(struct.unpack(fields, data))
+    width = _field_width(bound)
+    if width > 64:
+        return _slice_transform(table, size, inverse)
+    fields = f"<{1 << size}{_FIELD_CODES[width]}"
+    packed = _passes(int.from_bytes(struct.pack(fields, *table), "little"), size, width, inverse)
+    return list(struct.unpack(fields, packed.to_bytes(width << size >> 3, "little")))
 
 
 class MassFunction:
@@ -187,7 +207,7 @@ class MassFunction:
                 raise FrameMismatch(f"focal set {mask} does not belong to the frame")
             value = value if value.__class__ is Fraction else exact(value)
             if value < 0:
-                raise NegativeMass(f"mass of {mask} is negative: {format_rational(value)}")
+                raise NegativeMass(f"mass of {mask} is negative: {_diagnostic_text(value)}")
             if value:
                 n, d = value.as_integer_ratio()
                 keys.append(mask.bits)
@@ -218,12 +238,12 @@ class MassFunction:
         if 0 in numerators:
             raise MassOnEmptySet(
                 "the empty set carries mass "
-                f"{format_rational(Fraction(numerators[0], denominator))}"
+                f"{_diagnostic_text(Fraction(numerators[0], denominator))}"
             )
         total = sum(numerators.values())
         if total != denominator:
             raise MassNotNormalized(
-                f"masses sum to {format_rational(Fraction(total, denominator))}, expected 1"
+                f"masses sum to {_diagnostic_text(Fraction(total, denominator))}, expected 1"
             )
         # Dividing out the common factor leaves the least common denominator
         # of the reduced masses, so equal masses are equal field by field.
@@ -249,10 +269,10 @@ class MassFunction:
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
         by the inverse lattice transform on the table's numerators over one
-        denominator: size packed-integer passes, in fields wide enough for
-        the general bound on every partial sum, the largest numerator times
-        2^size, plus a sign bit.  The table is not yet known to be a belief
-        function, so no tighter bound holds.  Raises ValueError for a
+        denominator D: size packed-integer passes in unsigned fields sized
+        by D, confirmed by the forward passes.  Any other table, and any D
+        past 64 bits, goes through the exact slice transform, which finds
+        its first negative mass.  Raises ValueError for a
         frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
         the table is not dense, Bel(full) != 1, Bel(empty) != 0, or any
         inverted mass is negative.
@@ -277,21 +297,36 @@ class MassFunction:
             )
         if nums[-1] != 1 or dens[-1] != 1:
             raise NotABeliefFunction(
-                f"Bel of the full frame is {format_rational(Fraction(nums[-1], dens[-1]))}, "
+                f"Bel of the full frame is {_diagnostic_text(Fraction(nums[-1], dens[-1]))}, "
                 "expected 1"
             )
         denominator, table = _over_one_denominator(nums, dens)
-        bound = max(max(table), -min(table)) << size
-        table = _lattice_transform(table, size, True, bound)
-        if table[0] != 0:
+        if table[0]:  # m(empty) = Bel(empty)
             raise NotABeliefFunction(
-                f"inversion puts mass {format_rational(Fraction(table[0], denominator))} "
+                f"inversion puts mass {_diagnostic_text(Fraction(table[0], denominator))} "
                 f"on the empty set"
             )
-        focal = dict(zip(compress(range(cells), table), filter(None, table)))
+        width, masses = _field_width(denominator), None
+        if width <= 64:
+            # D bounds every partial sum of a belief function's inverse.  A
+            # cell that does not fit, or a borrow out of the top field,
+            # raises; masses that sum to D sum back up with no carry, so
+            # they are exact if that gives back the input.
+            fields = f"<{cells}{_FIELD_CODES[width]}"
+            try:
+                packed = int.from_bytes(struct.pack(fields, *table), "little")
+                inverted = _passes(packed, size, width, True)
+                masses = struct.unpack(fields, inverted.to_bytes(width << size >> 3, "little"))
+            except (struct.error, OverflowError):
+                pass
+        if masses is None or sum(masses) != denominator or (
+            _passes(inverted, size, width, False) != packed
+        ):
+            masses = _slice_transform(table, size, True)
+        focal = dict(zip(compress(range(cells), masses), filter(None, masses)))
         if min(focal.values()) < 0:
             bits = next(bits for bits, n in focal.items() if n < 0)
-            mass = format_rational(Fraction(focal[bits], denominator))
+            mass = _diagnostic_text(Fraction(focal[bits], denominator))
             where = SubsetMask(frame, bits)
             raise NotABeliefFunction(f"inversion yields negative mass {mass} on {where}")
         return cls._from_numerators(frame, denominator, focal)

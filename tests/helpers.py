@@ -11,7 +11,6 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations
-from operator import add, sub
 
 from beliefkit import (
     Code,
@@ -201,30 +200,6 @@ def simulation_outcome(run, *args):
         return run(*args)
     except NoAcceptedTrials as err:
         return str(err)
-
-
-def oracle_lattice_transform(table, size, inverse):
-    """Reference zeta transform (Möbius with `inverse`), one cell at a time.
-
-    For bit ``i`` the cells with the bit set are updated from their partners
-    without it, one strided slice per offset inside a block of ``2^(i+1)``
-    cells, or one slice per block, whichever needs fewer slices.  Returns a
-    new list.
-    """
-    op = sub if inverse else add
-    table = list(table)
-    cells = 1 << size
-    for i in range(size):
-        half = 1 << i
-        step = half << 1
-        if half <= cells // step:
-            for hi in range(half, step):
-                table[hi::step] = map(op, table[hi::step], table[hi - half :: step])
-        else:
-            for lo in range(0, cells, step):
-                hi = lo + half
-                table[hi : lo + step] = map(op, table[hi : lo + step], table[lo:hi])
-    return table
 
 
 def as_set_dict(mass: MassFunction):

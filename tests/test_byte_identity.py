@@ -32,10 +32,10 @@ from pathlib import Path
 
 from beliefkit import Frame, SubsetMask, bundled_model_path, format_rational, serialize_model
 from beliefkit.cli import run_command
+from beliefkit.mass import _slice_transform
 
 from helpers import (
     mixed_fractions,
-    oracle_lattice_transform,
     prime_fractions,
     producible_message,
     random_fractions,
@@ -56,13 +56,13 @@ def _write(name: str, doc: object) -> str:
 
 
 def _belief_document(mass) -> dict:
-    """The dense Bel table of `mass`, by the reference transform of ``helpers``."""
+    """The dense Bel table of `mass`, by the slice transform."""
     frame, focal = mass.frame, mass.focal()
     denominator = lcm(*(value.denominator for _, value in focal))
     table = [0] * (1 << frame.size)
     for mask, value in focal:
         table[mask.bits] = int(value * denominator)
-    table = oracle_lattice_transform(table, frame.size, inverse=False)
+    table = _slice_transform(table, frame.size, inverse=False)
     return {
         "frame": list(frame.labels),
         "belief": {

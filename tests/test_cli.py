@@ -453,6 +453,29 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: RationalTooLarge: ")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_diagnostic_too_large_to_write_keeps_its_class(self, capsys, tmp_path, fmt):
+        # the two probabilities sum to a value over a 6001-digit denominator,
+        # past the 4300 digits Python writes, and not to 1
+        doc = {
+            "frame": ["a", "b"],
+            "messages": ["X", "Y"],
+            "plaintexts": [["a"], ["b"]],
+            "codes": [
+                {"name": "s1", "prob": f"1/{10**3000 + 3}", "map": {"{a}": "X", "{b}": "Y"}},
+                {"name": "s2", "prob": f"1/{10**3000 + 7}", "map": {"{a}": "Y", "{b}": "X"}},
+            ],
+            "observed": "X",
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out, err = run(capsys, "derive", str(path), "--format", fmt)
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: ProbabilitySumError: code probabilities sum to a value too large "
+            "to write, expected 1\n"
+        )
+
     def test_module_entry_point_matches_run_command(self, capsys, example1_path):
         env = {**os.environ, "PYTHONPATH": str(Path(beliefkit.__file__).resolve().parents[1])}
         argvs = [

@@ -221,13 +221,14 @@ class TestCommonalityRoute:
 
     @pytest.mark.parametrize(
         "fractions, fields",
-        [(fractions_over((1 << 31) - 1), ["<1024i", "<1024i", "<1024q"]), (prime_fractions, [])],
+        [(fractions_over((1 << 31) - 1), ["<1024I", "<1024I", "<1024Q"]), (prime_fractions, [])],
         ids=["q-fields", "whole-bytes"],
     )
     def test_dense_pair_fields_on_10_labels(self, fractions, fields, monkeypatch):
         # d1 * d2 of 62 bits keeps the inverse in 64-bit fields, which the
         # general bound, max|cell| * 2^10, would overflow.  Over the large
-        # primes d1 * d2 is past 2^128, and every pass packs whole bytes.
+        # primes d1 * d2 is past 2^128, and every transform is the slice
+        # transform, which packs nothing.
         packed = []
 
         def pack(form, *values):
@@ -239,7 +240,7 @@ class TestCommonalityRoute:
         m1, m2 = mass_pair(rng, frame, 67, fractions)
         assert 67 * 67 > dense_threshold(10)
         product = m1._denominator * m2._denominator
-        assert (53 < product.bit_length() <= 63) if fields else (product > 1 << 128)
+        assert (54 < product.bit_length() <= 64) if fields else (product > 1 << 128)
         monkeypatch.setattr(mass, "struct", SimpleNamespace(pack=pack, unpack=struct.unpack))
         direct = assert_routes_agree(m1, m2)
         assert packed == fields

@@ -19,14 +19,19 @@ from beliefkit import (
     parse_rational,
 )
 
-from beliefkit.mass import MAX_INVERSION_FRAME, _lattice_transform
+from beliefkit import mass
+from beliefkit.mass import (
+    MAX_INVERSION_FRAME,
+    _field_width,
+    _lattice_transform,
+    _slice_transform,
+)
 
 from helpers import (
     as_set_dict,
     fractions_over,
     mixed_fractions,
     oracle_belief,
-    oracle_lattice_transform,
     oracle_mobius,
     powerset,
     prime_fractions,
@@ -328,47 +333,103 @@ class TestLatticeTransform:
 
 
 def extreme_tables(size, magnitude):
-    """Tables whose transforms reach ``magnitude * 2^size`` in both signs.
+    """Tables whose transforms reach ``magnitude * 2^size`` in both signs, as
+    ``(table, zeta, mobius)`` triples with both transforms in closed form.
 
-    Constant tables do so forward, at the full set, and tables whose sign
-    follows the parity of the subset do so inverted.
+    A constant c sums to ``c * 2^|A|`` at A and inverts to c on the empty
+    set alone; ``c * (-1)^|A|`` sums to c on the empty set alone and inverts
+    to ``c * (-2)^|A|``.
     """
     cells = range(1 << size)
-    tables = [[magnitude] * (1 << size), [-magnitude] * (1 << size)]
-    for sign in (1, -1):
-        tables.append([sign * magnitude * (-1) ** k.bit_count() for k in cells])
-    return tables
+    triples = []
+    for c in (magnitude, -magnitude):
+        alone = [c] + [0] * ((1 << size) - 1)
+        triples.append(([c] * (1 << size), [c << k.bit_count() for k in cells], alone))
+        parity = [c * (-1) ** k.bit_count() for k in cells]
+        triples.append((parity, alone, [c * (-2) ** k.bit_count() for k in cells]))
+    return triples
 
 
-def general_transform(table, size, inverse):
-    """The packed transform at the bound that holds for any table."""
-    return _lattice_transform(table, size, inverse, max(max(table), -min(table)) << size)
+def label_sets(size):
+    """The label set of each cell of a table on ``wide_frame(size)``, by bits."""
+    frame = wide_frame(size)
+    return [frozenset(SubsetMask(frame, bits).members) for bits in range(1 << size)]
+
+
+def oracle_zeta(size, table):
+    """Each cell's sum over its subsets, by oracle_belief on the nonzero cells."""
+    sets = label_sets(size)
+    by_set = {subset: value for subset, value in zip(sets, table) if value}
+    return [oracle_belief(by_set, subset) for subset in sets]
+
+
+def sparse_table(rng, size, magnitude):
+    """Up to 24 random cells in [-magnitude, magnitude], the rest zero."""
+    table = [0] * (1 << size)
+    for k in rng.sample(range(1 << size), min(1 << size, 24)):
+        table[k] = rng.randint(-magnitude, magnitude)
+    return table
+
+
+def nonnegative_tables(rng, size, total):
+    """Non-negative tables that total `total`: all of it on the empty set,
+    whose sums then reach `total` in every cell, all on the full set, and
+    split at random over up to 24 cells."""
+    cells = 1 << size
+    first, last, split = ([0] * cells for _ in range(3))
+    first[0] = last[-1] = total
+    edges = [0, *sorted(rng.randrange(total + 1) for _ in range(23)), total]
+    for low, high in zip(edges, edges[1:]):
+        split[rng.randrange(cells)] += high - low
+    return first, last, split
+
+
+def bel_abc(denominator, changes):
+    """``(denominator, Bel numerators)`` on a, b, c, bits 1, 2, 4, of the mass
+    1/5 on {a}, {b}, {c} and {a,b,c} and 1/10 on {a,b} and {b,c}, with the
+    cells in `changes` replaced."""
+    base = {0: 0, 1: 20, 2: 20, 3: 50, 4: 20, 5: 40, 6: 50, 7: 100}
+    return denominator, {**{k: n * denominator // 100 for k, n in base.items()}, **changes}
 
 
 class TestPackedTransform:
-    """The packed-integer lattice transform against the per-cell reference,
-    on signed tables and on each side of every field-width boundary."""
+    """The unsigned packed kernel on non-negative tables on each side of every
+    field width, and the slice transform, which takes signed tables and
+    fields past 64 bits, against the set oracles and closed forms."""
 
     @pytest.mark.parametrize("size", range(1, MAX_INVERSION_FRAME + 1))
     @pytest.mark.parametrize("inverse", [False, True], ids=["zeta", "mobius"])
     def test_random_signed_tables(self, size, inverse):
+        # Sparse tables keep oracle_belief cheap at every size: forward, a
+        # table goes to its sums; inverse, the sums go back to the table.
         rng = random.Random(7000 + size)
         for bits in (1, 6, 20, 45):
-            table = [rng.randint(-(1 << bits), 1 << bits) for _ in range(1 << size)]
-            expected = oracle_lattice_transform(table, size, inverse)
-            assert general_transform(table, size, inverse) == expected
+            table = sparse_table(rng, size, 1 << bits)
+            sums = oracle_zeta(size, table)
+            if inverse:
+                assert _slice_transform(sums, size, True) == table
+            else:
+                assert _slice_transform(table, size, False) == sums
+            if inverse and size <= 8:
+                dense = [rng.randint(-(1 << bits), 1 << bits) for _ in range(1 << size)]
+                sets = label_sets(size)
+                masses = oracle_mobius(wide_frame(size).labels, dict(zip(sets, dense)))
+                expected = [masses.get(subset, 0) for subset in sets]
+                assert _slice_transform(dense, size, True) == expected
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_each_side_of_the_width_boundaries(self, width):
-        # A magnitude of bit length width - size - 1 fits fields of `width`
-        # bits; one more bit needs the next width.
-        for size in range(1, min(width - 1, MAX_INVERSION_FRAME + 1)):
-            limit = 1 << (width - size - 1)
-            for magnitude in (limit - 1, limit):
-                for table in extreme_tables(size, magnitude):
-                    for inverse in (False, True):
-                        expected = oracle_lattice_transform(table, size, inverse)
-                        assert general_transform(table, size, inverse) == expected
+        # A bound of `width` bits packs fields of `width` bits, and one bit
+        # more the next width (past 64 bits, the slice transform).  Each
+        # table is non-negative and totals the bound.
+        rng = random.Random(width)
+        for bound in ((1 << width) - 1, 1 << width):
+            assert _field_width(bound) == (width if bound < 1 << width else 2 * width)
+            for size in range(1, MAX_INVERSION_FRAME + 1):
+                for table in nonnegative_tables(rng, size, bound):
+                    sums = _lattice_transform(table, size, False, bound)
+                    assert sums == _slice_transform(table, size, False)
+                    assert _lattice_transform(sums, size, True, bound) == table
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 80])
     def test_bel_tables_on_each_side_of_the_denominator_bound(self, width):
@@ -392,14 +453,20 @@ class TestPackedTransform:
 
     @pytest.mark.parametrize("bits", [70, 200])
     def test_cells_past_64_bits(self, bits):
+        # The slice transform on signed cells, against closed forms and the
+        # set oracle; the kernel hands a bound past 64 bits to it.
         rng = random.Random(bits)
+        magnitude = (1 << bits) - 1
         for size in range(1, MAX_INVERSION_FRAME + 1):
-            magnitude = (1 << bits) - 1
-            random_table = [rng.randint(-magnitude, magnitude) for _ in range(1 << size)]
-            for table in [random_table, *extreme_tables(size, magnitude)]:
-                for inverse in (False, True):
-                    expected = oracle_lattice_transform(table, size, inverse)
-                    assert general_transform(table, size, inverse) == expected
+            for table, sums, masses in extreme_tables(size, magnitude):
+                assert _slice_transform(table, size, False) == sums
+                assert _slice_transform(table, size, True) == masses
+            table = sparse_table(rng, size, magnitude)
+            sums = oracle_zeta(size, table)
+            assert _slice_transform(table, size, False) == sums
+            assert _slice_transform(sums, size, True) == table
+            table = [abs(cell) for cell in table]
+            assert _lattice_transform(table, size, False, sum(table)) == oracle_zeta(size, table)
 
     @pytest.mark.parametrize("size", [2, 3, 6, 8, 10])
     def test_round_trip_over_large_prime_denominators(self, size):
@@ -429,6 +496,62 @@ class TestPackedTransform:
         assert str(caught.value) == (
             f"inversion yields negative mass -{prime // 2}/{prime} on {{a,b}}"
         )
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_belief_tables_never_reach_the_slice_transform(self, width, monkeypatch):
+        # Bel tables over the least and the largest denominator that need
+        # fields of `width` bits invert in the packed kernel, which the
+        # forward passes confirm; past 64 bits the slice transform inverts.
+        inverted = []
+
+        def counted(table, size, inverse):
+            inverted.append(size)
+            return _slice_transform(table, size, inverse)
+
+        rng = random.Random(9100 + width)
+        denominators = [1 << (width - 1), (1 << width) - 1]
+        if width == 64:
+            denominators.append(1 << 64)
+        for size in range(1, MAX_INVERSION_FRAME + 1):
+            frame = wide_frame(size)
+            masses = [MassFunction.vacuous(frame)] if size == 1 else [
+                random_mass(rng, frame, 20, 2, fractions_over(denominator))
+                for denominator in denominators
+            ]
+            assert size == 1 or [m._denominator for m in masses] == denominators
+            for m in masses:
+                table = {mask: m.belief(mask) for mask in frame.full().subsets()}
+                monkeypatch.setattr(mass, "_slice_transform", counted)
+                assert MassFunction.from_belief(frame, table) == m
+                monkeypatch.undo()
+        past = [size for size in range(2, MAX_INVERSION_FRAME + 1) if width == 64]
+        assert inverted == past
+
+    @pytest.mark.parametrize(
+        "table, text",
+        [
+            # Bel({a,b}) = D + 1 fits its field; the top field borrows.
+            (bel_abc(100, {3: 101}), "-31/100 on {a,b,c}"),
+            # Bel({a,b}) = D + 1 = 256 does not fit 8-bit fields.
+            (bel_abc(255, {3: 256}), "-77/255 on {a,b,c}"),
+            # Bel({a,c}) = 255/101 fills its 8-bit field, past D.
+            (bel_abc(101, {5: 255}), "-194/101 on {a,b,c}"),
+            # A negative cell does not fit an unsigned field.
+            (bel_abc(100, {2: -1}), "-1/100 on {b}"),
+            # A middle field borrows from the next (D = 10 and 20): the
+            # packed integer stays non-negative, but its fields no longer
+            # sum to D.
+            (bel_abc(100, {3: 30}), "-1/10 on {a,b}"),
+            (bel_abc(100, {1: 30, 3: 45}), "-1/20 on {a,b}"),
+        ],
+        ids=["over-D", "over-the-field", "field-maximum", "negative", "borrow", "borrows"],
+    )
+    def test_non_belief_tables_name_the_first_negative_mass(self, table, text):
+        denominator, numerators = table
+        table = abc_table({bits: F(n, denominator) for bits, n in numerators.items()})
+        with pytest.raises(NotABeliefFunction) as caught:
+            MassFunction.from_belief(ABC, table)
+        assert str(caught.value) == f"inversion yields negative mass {text}"
 
 
 class Half(Fraction):
@@ -710,3 +833,15 @@ class TestRationalText:
         for value in (F(10**4300), F(1, 10**4300), F(-(10**4300) - 1, 3)):
             with pytest.raises(RationalTooLarge, match=r"^exact value too large to write: "):
                 format_rational(value)
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs Python's default limit of 4300 digits for int-to-str",
+    )
+    def test_diagnostics_past_the_digit_limit_keep_their_class(self):
+        # the two masses sum to a value over a 6001-digit denominator
+        entries = [(NO, F(1, 10**3000 + 3)), (TOP, F(1, 10**3000 + 7))]
+        with pytest.raises(
+            MassNotNormalized, match=r"^masses sum to a value too large to write, expected 1$"
+        ):
+            MassFunction(YN, entries)
