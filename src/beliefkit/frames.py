@@ -4,9 +4,9 @@ A :class:`Frame` is an ordered tuple of distinct hypothesis labels; a
 :class:`SubsetMask` is a subset of one frame stored as a positional bitmask
 (bit ``i`` set means ``frame.labels[i]`` is a member).  Frames compare by
 content, so two identically labelled frames are interchangeable; a frame
-hashes its labels once, when it is built, and maps each label to its
-position in a dict built at the same time.  All values are immutable and all
-operations are pure.
+maps each label to its position in a dict built when the frame is.  A mask
+hashes as its bits, so masks of one frame never collide.  All values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ def _check_text(text: str, what: str) -> None:
         raise ValueError(f"{what} {text!r} is not valid Unicode text") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Frame:
     """An ordered finite set of distinct hypothesis labels."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            raise TypeError(f"frame labels must be a sequence of strings, got {self.labels!r}")
         labels = tuple(_check_label(name) for name in self.labels)
         object.__setattr__(self, "labels", labels)
         if not 1 <= len(labels) <= MAX_FRAME_SIZE:
@@ -56,23 +58,7 @@ class Frame:
             )
         if len(set(labels)) != len(labels):
             raise ValueError(f"frame labels must be distinct: {labels}")
-        object.__setattr__(self, "_hash", hash(labels))
         object.__setattr__(self, "_positions", {name: i for i, name in enumerate(labels)})
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # String hashes are salted per process: a copy or an unpickled frame
-        # is rebuilt from its labels, so it hashes them afresh.
-        return (Frame, (self.labels,))
 
     @property
     def size(self) -> int:
@@ -89,6 +75,8 @@ class Frame:
 
     def subset(self, names: Iterable[str]) -> SubsetMask:
         """Mask with exactly the named members; duplicate names collapse."""
+        if isinstance(names, str):
+            raise TypeError(f"subset takes an iterable of labels, got the string {names!r}")
         bits = 0
         for name in names:
             bits |= 1 << self.index(name)
@@ -118,10 +106,16 @@ class SubsetMask:
     bits: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bits, int):
+            raise TypeError(f"bits must be an int, got {type(self.bits).__name__}")
         if not 0 <= self.bits < (1 << self.frame.size):
             raise ValueError(
                 f"bits {self.bits:#x} out of range for a frame of size {self.frame.size}"
             )
+
+    def __hash__(self) -> int:
+        # equal masks have equal bits; the generated __eq__ still compares frames
+        return self.bits
 
     def _require_same_frame(self, other: SubsetMask) -> None:
         if self.frame != other.frame:

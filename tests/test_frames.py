@@ -3,13 +3,21 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import beliefkit
-from beliefkit import Frame, FrameMismatch, SubsetMask, UnknownLabel
+from beliefkit import (
+    Frame,
+    FrameMismatch,
+    SubsetMask,
+    UnknownLabel,
+    bundled_model_path,
+    parse_model,
+)
 
 from helpers import powerset
 
@@ -40,6 +48,10 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(labels)
 
+    def test_bare_string_labels_rejected(self):
+        with pytest.raises(TypeError, match=r"^frame labels must be a sequence of strings, got 'abc'$"):
+            Frame("abc")
+
     def test_not_equal_to_another_type(self, yn):
         assert yn.__eq__(("yes", "no")) is NotImplemented
         assert yn != ("yes", "no")
@@ -59,6 +71,11 @@ class TestSubsets:
         assert yn.subset(["no", "no"]).members == ("no",)  # duplicates collapse
         with pytest.raises(UnknownLabel):
             yn.subset(["maybe"])
+
+    def test_subset_of_a_bare_string_rejected(self):
+        frame = Frame(("a", "b", "c"))
+        with pytest.raises(TypeError, match=r"^subset takes an iterable of labels, got the string 'ab'$"):
+            frame.subset("ab")
 
     def test_intersect(self, yn):
         no = yn.subset(["no"])
@@ -124,6 +141,11 @@ class TestSubsets:
         assert type(err.value) is ValueError
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("bits", [1.0, Fraction(1), 4.0], ids=["float", "fraction", "float-past-the-frame"])
+    def test_mask_bits_must_be_an_int(self, yn, bits):
+        with pytest.raises(TypeError, match=rf"^bits must be an int, got {type(bits).__name__}$"):
+            SubsetMask(yn, bits)
+
 class TestEnumeration:
     def test_order_over_full_frame(self, yn):
         got = [mask.members for mask in yn.full().subsets()]
@@ -181,9 +203,29 @@ def test_masks_are_hashable():
     assert len(seen) == 1
 
 
+def test_masks_of_equal_frames_are_one_key():
+    # two parsed documents give two distinct but equal frames
+    text = bundled_model_path("example2").read_text(encoding="utf-8")
+    left, right = parse_model(text).frame, parse_model(text).frame
+    assert left is not right and left == right
+    table = {mask: str(mask) for mask in left.full().subsets()}
+    for mask in right.full().subsets():
+        assert table[mask] == str(mask)
+    assert len(set(left.full().subsets()) | set(right.full().subsets())) == 4
+
+
+def test_equal_bits_on_different_frames_are_two_keys():
+    yn, ny, ynm = Frame(("yes", "no")), Frame(("no", "yes")), Frame(("yes", "no", "maybe"))
+    masks = [SubsetMask(frame, 1) for frame in (yn, ny, ynm)]
+    table = {mask: str(mask) for mask in masks}
+    assert len(table) == len(set(masks)) == 3
+    assert [table[mask] for mask in masks] == ["{yes}", "{no}", "{yes}"]
+    assert SubsetMask(yn, 1) != SubsetMask(ynm, 1)
+
+
 def test_copies_and_pickles_hash_their_labels_afresh(tmp_path):
-    # String hashes are salted per process, so a frame's hash must be
-    # recomputed where it is unpickled, or masks keyed on it go missing.
+    # String hashes are salted per process, so an unpickled frame and the
+    # masks keyed on it must hash as those built where they are read.
     frame = Frame(("yes", "no", "maybe"))
     assert copy.copy(frame) == frame and hash(copy.deepcopy(frame)) == hash(frame)
     table = {mask: str(mask) for mask in frame.full().subsets()}
@@ -203,5 +245,39 @@ def test_copies_and_pickles_hash_their_labels_afresh(tmp_path):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", check, str(path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def test_parsed_model_mass_and_relation_pickle_across_processes(tmp_path):
+    path = bundled_model_path("example2")
+    model = parse_model(path.read_text(encoding="utf-8"))
+    mass = model.derive_mass("BANANA")
+    mass.belief(model.frame.full())  # the Bel table travels with the mass
+    relation = model.constraining_relation("BANANA")
+    pickled = tmp_path / "model.pickle"
+    pickled.write_bytes(pickle.dumps((model, mass, relation)))
+    check = (
+        "import pickle, sys\n"
+        "from beliefkit import parse_model\n"
+        "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "fresh = parse_model(open(sys.argv[2], encoding='utf-8').read())\n"
+        "built = (fresh, fresh.derive_mass('BANANA'), fresh.constraining_relation('BANANA'))\n"
+        "for old, new in zip(loaded, built):\n"
+        "    assert old == new and hash(old) == hash(new), (old, new)\n"
+        "assert loaded[1]._belief_table is not None\n"
+        "for mask in fresh.frame.full().subsets():\n"
+        "    assert loaded[1].belief(mask) == built[1].belief(mask)\n"
+        "for mask in fresh.plaintexts:\n"
+        "    assert loaded[0].codes[1].codebook[mask] == fresh.codes[1].codebook[mask]\n"
+    )
+    src = str(Path(beliefkit.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", check, str(pickled), str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
         )
         assert done.returncode == 0, done.stderr
