@@ -11,9 +11,8 @@ encoded.
 
 A model holds its encoding as one table, built once by the constructor:
 one row per code, holding for each position in ``plaintexts`` the index of
-the message the code sends that plaintext to.  A code the document parser
-builds carries its row, checked as it was read, and builds its ``codebook``
-dict only when asked.  A message's relation is built on its first request,
+the message the code sends that plaintext to, read from the code's
+``codebook`` dict.  A message's relation is built on its first request,
 from the rows that send some plaintext to it, and kept by the model for
 every later one; no other message's relation is built.  Each
 :class:`ConstrainingRelation` is one record: what every possible code
@@ -44,7 +43,7 @@ from .errors import (
     TotalConflict,
     UnknownMessage,
 )
-from .frames import Frame, SubsetMask, _check_text
+from .frames import Frame, SubsetMask, _check_ordered, _check_text
 from .mass import MassFunction, _diagnostic_text, _over_one_denominator
 
 
@@ -52,14 +51,12 @@ from .mass import MassFunction, _diagnostic_text, _over_one_denominator
 class Code:
     """A named encoding of plaintext subsets into message labels.
 
-    A code the document parser builds holds its row of the model's table
-    and builds ``codebook`` from it on first read.
+    ``codebook`` is copied into a dict of the code's own, in the order given.
     """
 
     name: str
     prob: Fraction
     codebook: Mapping[SubsetMask, str] = field(hash=False)
-    _row = None  # (plaintexts, messages, row) of a code built from a table row
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -67,30 +64,7 @@ class Code:
         _check_text(self.name, "code name")
         if not isinstance(self.prob, Fraction):
             raise TypeError(f"code probability must be a Fraction, got {self.prob!r}")
-        if self._row is None:
-            object.__setattr__(self, "codebook", dict(self.codebook))
-
-    @classmethod
-    def _from_row(
-        cls, name: str, prob: Fraction, plaintexts: tuple, messages: tuple, row: tuple
-    ) -> Code:
-        """The code sending ``plaintexts[p]`` to ``messages[row[p]]``."""
-        code = cls.__new__(cls)
-        object.__setattr__(code, "name", name)
-        object.__setattr__(code, "prob", prob)
-        object.__setattr__(code, "_row", (plaintexts, messages, row))
-        code.__post_init__()
-        return code
-
-    def __getattr__(self, attr: str):
-        # Only attributes the instance lacks get here: the codebook of a code
-        # built from a row, before its first read.
-        if attr != "codebook" or self._row is None:
-            raise AttributeError(attr)
-        plaintexts, messages, row = self._row
-        codebook = {mask: messages[m] for mask, m in zip(plaintexts, row)}
-        object.__setattr__(self, "codebook", codebook)
-        return codebook
+        object.__setattr__(self, "codebook", dict(self.codebook))
 
 
 @dataclass(frozen=True)
@@ -151,9 +125,9 @@ class EvidenceModel:
     observed: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
-        object.__setattr__(self, "plaintexts", tuple(self.plaintexts))
-        object.__setattr__(self, "codes", tuple(self.codes))
+        for what in ("messages", "plaintexts", "codes"):
+            _check_ordered(getattr(self, what), what)
+            object.__setattr__(self, what, tuple(getattr(self, what)))
         if not self.messages:
             raise ValueError("a model needs at least one message label")
         if any(not isinstance(m, str) or not m for m in self.messages):
@@ -203,9 +177,6 @@ class EvidenceModel:
 
     def _row_of(self, code: Code, index: dict[str, int]) -> tuple[int, ...]:
         """The code's row of the table; raises its codebook's first fault."""
-        own = code._row
-        if own is not None and own[0] is self.plaintexts and own[1] is self.messages:
-            return own[2]  # read from a document against this domain and alphabet
         codebook = code.codebook
         # keys in domain order, as builders write them, are read unhashed
         if tuple(codebook) == self.plaintexts:

@@ -41,6 +41,12 @@ def _check_text(text: str, what: str) -> None:
         raise ValueError(f"{what} {text!r} is not valid Unicode text") from None
 
 
+def _check_ordered(values: object, what: str) -> None:
+    """Reject a set, whose iteration order can change from one process to the next."""
+    if isinstance(values, (set, frozenset)):
+        raise TypeError(f"{what} must be an ordered collection, got a {type(values).__name__}")
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered finite set of distinct hypothesis labels."""
@@ -50,6 +56,7 @@ class Frame:
     def __post_init__(self) -> None:
         if isinstance(self.labels, str):
             raise TypeError(f"frame labels must be a sequence of strings, got {self.labels!r}")
+        _check_ordered(self.labels, "frame labels")
         labels = tuple(_check_label(name) for name in self.labels)
         object.__setattr__(self, "labels", labels)
         if not 1 <= len(labels) <= MAX_FRAME_SIZE:

@@ -146,15 +146,13 @@ def parse_model(text: str) -> EvidenceModel:
             raise UnknownLabel(f"{field}: {err}") from None
 
     plaintexts = tuple(plaintexts)
-    position = {mask.bits: p for p, mask in enumerate(plaintexts)}
-    index = {message: m for m, message in enumerate(messages)}
 
     if not isinstance(doc["codes"], list):
         raise _fail("codes", "expected a list of code records")
     codes = []
-    # Every code maps the same plaintexts: each key text is read once, to its
-    # bits and its position in the domain (None outside it).
-    keys: dict[str, tuple[int, int | None]] = {}
+    # Every code maps the same plaintexts: each key text is read to its mask
+    # once, and the domain's own texts are known before any map is read.
+    masks = {str(mask): mask for mask in plaintexts}
     for i, record in enumerate(doc["codes"]):
         field = f"codes[{i}]"
         if not isinstance(record, dict):
@@ -173,38 +171,23 @@ def parse_model(text: str) -> EvidenceModel:
         map_field = f"{field}.map"
         if not isinstance(book, dict):
             raise _fail(map_field, "expected an object keyed by subset strings")
-        row: list[int | None] = [None] * len(plaintexts)
-        outside: set[int] = set()  # keys outside the domain, for the model to report
+        codebook: dict[SubsetMask, str] = {}
         for subset_text, label in book.items():
             if not isinstance(label, str):
                 raise _fail(_entry(map_field, subset_text), "expected a message label string")
-            key = keys.get(subset_text)
-            if key is None:
-                bits = _parse_key(frame, map_field, subset_text).bits
-                key = keys[subset_text] = bits, position.get(bits)
-            bits, p = key
-            if not bits:
+            mask = masks.get(subset_text)
+            if mask is None:
+                mask = masks[subset_text] = _parse_key(frame, map_field, subset_text)
+            if not mask.bits:
                 raise _fail(
                     _entry(map_field, subset_text), "the empty set is not a valid plaintext"
                 )
-            if p is None:
-                duplicate = bits in outside
-                outside.add(bits)
-            else:
-                duplicate = row[p] is not None
-                row[p] = index.get(label, -1)
-            if duplicate:
-                raise _fail(
-                    _entry(map_field, subset_text),
-                    f"duplicate plaintext {SubsetMask(frame, bits)}",
-                )
+            size = len(codebook)
+            codebook[mask] = label
+            if len(codebook) == size:
+                raise _fail(_entry(map_field, subset_text), f"duplicate plaintext {mask}")
         try:
-            if outside or None in row or -1 in row:
-                # the model's checks report the fault, reading the map in its order
-                codebook = {SubsetMask(frame, keys[t][0]): label for t, label in book.items()}
-                codes.append(Code(name, prob, codebook))
-            else:
-                codes.append(Code._from_row(name, prob, plaintexts, messages, tuple(row)))
+            codes.append(Code(name, prob, codebook))
         except ValueError as err:
             raise _fail(f"{field}.name", str(err)) from None
 

@@ -7,6 +7,7 @@ cross-check and not a tautology.
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -362,3 +363,16 @@ def producible_message(rng, model):
 def random_prior(rng, plaintexts):
     values = random_fractions(rng, len(plaintexts))
     return PriorSpec(dict(zip(plaintexts, values)))
+
+
+# ---------- documents ----------
+
+def out_of_domain_order(text):
+    """A yes/no model document with every map reversed and the first code's
+    ``{yes,no}`` key spelt ``{no,yes}``; it describes the same model."""
+    doc = json.loads(text)
+    for record in doc["codes"]:
+        record["map"] = dict(reversed(record["map"].items()))
+    first = doc["codes"][0]
+    first["map"] = {("{no,yes}" if k == "{yes,no}" else k): v for k, v in first["map"].items()}
+    return json.dumps(doc, indent=2) + "\n"

@@ -14,6 +14,8 @@ from beliefkit import bundled_model_path
 from beliefkit import cli
 from beliefkit.cli import run_command
 
+from helpers import out_of_domain_order
+
 SEED = "20250808"
 
 DERIVE_EXAMPLE1 = """\
@@ -710,6 +712,23 @@ COMMANDS = ["derive", "combine", "bayes", "factors", "williams", "simulate", "va
 
 def with_paths(argv, example1_path, example2_path):
     return [{"M": example1_path, "M2": example2_path}.get(token, token) for token in argv]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_maps_out_of_domain_order_report_as_the_canonical_documents(
+    capsys, tmp_path, example1_path, example2_path, fmt
+):
+    shuffled = []
+    for path in (example1_path, example2_path):
+        target = tmp_path / Path(path).name
+        text = Path(path).read_text(encoding="utf-8")
+        target.write_text(out_of_domain_order(text), encoding="utf-8")
+        shuffled.append(str(target))
+    assert {argv[0] for argv, _ in GOLDENS} == set(COMMANDS)
+    for argv, _ in GOLDENS:
+        canonical = run(capsys, *with_paths(argv, example1_path, example2_path), "--format", fmt)
+        assert canonical[0] == 0
+        assert run(capsys, *with_paths(argv, *shuffled), "--format", fmt) == canonical
 
 
 class TestOneParserPerProcess:

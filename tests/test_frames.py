@@ -52,6 +52,14 @@ class TestFrame:
         with pytest.raises(TypeError, match=r"^frame labels must be a sequence of strings, got 'abc'$"):
             Frame("abc")
 
+    @pytest.mark.parametrize("labels", [{"yes", "no", "maybe"}, frozenset({"yes", "no"})])
+    def test_unordered_labels_rejected(self, labels):
+        # a set's order, and so the frame's, could change with the hash seed
+        kind = type(labels).__name__
+        with pytest.raises(TypeError) as err:
+            Frame(labels)
+        assert str(err.value) == f"frame labels must be an ordered collection, got a {kind}"
+
     def test_not_equal_to_another_type(self, yn):
         assert yn.__eq__(("yes", "no")) is NotImplemented
         assert yn != ("yes", "no")
@@ -69,6 +77,7 @@ class TestSubsets:
         assert yn.subset(["no"]).members == ("no",)
         assert yn.subset(["yes", "no"]) == yn.full()
         assert yn.subset(["no", "no"]).members == ("no",)  # duplicates collapse
+        assert yn.subset({"no", "yes"}) == yn.full()  # bits do not depend on order
         with pytest.raises(UnknownLabel):
             yn.subset(["maybe"])
 

@@ -31,6 +31,7 @@ from helpers import (
     mixed_fractions,
     oracle_derive,
     oracle_simulate,
+    out_of_domain_order,
     producible_message,
     random_fractions,
     random_frame,
@@ -323,6 +324,19 @@ class TestParseModel:
         assert [list(code.codebook) for code in model.codes] == [
             [YN.subset(["yes"]), YN.subset(["no"]), full]
         ] * 2
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_maps_out_of_domain_order_parse_to_the_canonical_model(self, name):
+        text = bundled_model_path(name).read_text(encoding="utf-8")
+        shuffled = out_of_domain_order(text)
+        model = parse_model(shuffled)
+        assert model == parse_model(text)
+        assert serialize_model(model) == text
+        # each codebook iterates in the order its document wrote it
+        books = [record["map"] for record in json.loads(shuffled)["codes"]]
+        assert [list(code.codebook) for code in model.codes] == [
+            [YN.parse_subset(key) for key in book] for book in books
+        ]
 
 
 class TestSerializeModel:
