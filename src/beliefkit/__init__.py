@@ -14,7 +14,6 @@ from .bayes import (
     SimulationReport,
     WilliamsReport,
     bayes_factor,
-    likelihood,
     posterior,
     posterior_odds,
     simulate,
@@ -56,7 +55,7 @@ from .model_io import (
     serialize_model,
     validate_model,
 )
-from .reports import Report, emit_report
+from .reports import emit_report
 
 __version__ = "0.1.0"
 
@@ -84,7 +83,6 @@ __all__ = [
     "PriorSpec",
     "ProbabilitySumError",
     "RationalTooLarge",
-    "Report",
     "SimulationReport",
     "SubsetMask",
     "TotalConflict",
@@ -100,7 +98,6 @@ __all__ = [
     "combine_models",
     "emit_report",
     "format_rational",
-    "likelihood",
     "load_model",
     "parse_belief_table",
     "parse_model",

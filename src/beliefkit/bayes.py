@@ -127,23 +127,9 @@ class SimulationReport:
     algorithm: str = SIMULATION_ALGORITHM
 
 
-def likelihood(model: EvidenceModel, plaintext: SubsetMask, message: str) -> Fraction:
-    """Probability the model sends `message` given `plaintext` was observed.
-
-    Codes are chosen independently of the plaintext, so this is the total
-    prior probability of the codes encoding `plaintext` to `message`.
-    """
-    return _likelihood_in(_likelihoods(model, message), plaintext)
-
-
-def _likelihood_in(likelihoods: dict[SubsetMask, Fraction], plaintext: SubsetMask) -> Fraction:
-    if plaintext not in likelihoods:
-        raise UnknownPlaintext(f"{plaintext} is not in the plaintext domain")
-    return likelihoods[plaintext]
-
-
 def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
-    """The likelihood of every plaintext of the domain, domain order."""
+    """Each domain plaintext, in order, -> P(`message` | it): the total prior
+    probability of the codes encoding it to `message`."""
     relation = model.constraining_relation(message)
     sums: Counter[int] = Counter()
     for name, masks in relation.decoded.items():
@@ -177,8 +163,10 @@ def bayes_factor(
 ) -> Fraction:
     """Likelihood ratio of `first` to `second`; multiplies prior into posterior odds."""
     likelihoods = _likelihoods(model, message)
-    top = _likelihood_in(likelihoods, first)
-    bottom = _likelihood_in(likelihoods, second)
+    for plaintext in (first, second):
+        if plaintext not in likelihoods:
+            raise UnknownPlaintext(f"{plaintext} is not in the plaintext domain")
+    top, bottom = likelihoods[first], likelihoods[second]
     if bottom == 0:
         if top == 0:
             raise UndefinedOdds(f"both {first} and {second} have zero likelihood")

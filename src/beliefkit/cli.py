@@ -31,7 +31,7 @@ from .model_io import (
     read_document,
     validate_model,
 )
-from .reports import Report, emit_report
+from .reports import emit_report
 
 
 class _UsageError(Exception):
@@ -341,7 +341,7 @@ def run_command(argv: Sequence[str]) -> int:
     except OSError as err:
         _diagnose(f"error: {err}")
         return 1
-    sys.stdout.write(emit_report(Report(args.command, payload), args.format))
+    sys.stdout.write(emit_report(args.command, payload, args.format))
     return 0
 
 

@@ -91,10 +91,6 @@ class ConstrainingRelation:
         """Every (code name, plaintext) pair of the relation, in ``decoded`` order."""
         return tuple((name, mask) for name, masks in self.decoded.items() for mask in masks)
 
-    def possible_codes(self) -> tuple[str, ...]:
-        """Names of codes that could have produced the message, model order."""
-        return tuple(self.decoded)
-
     @cached_property
     def _compatibility(self) -> dict[str, tuple[int, int]]:
         """Each possible code's name -> (bits of its Γ, its weight), ``decoded`` order."""

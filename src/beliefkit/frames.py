@@ -140,12 +140,6 @@ class SubsetMask:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.members)
-
-    def __contains__(self, label: str) -> bool:
-        return bool(self.bits >> self.frame.index(label) & 1)
-
     def __and__(self, other: SubsetMask) -> SubsetMask:
         self._require_same_frame(other)
         return SubsetMask(self.frame, self.bits & other.bits)
@@ -157,9 +151,6 @@ class SubsetMask:
     def issubset(self, other: SubsetMask) -> bool:
         self._require_same_frame(other)
         return self.bits & ~other.bits == 0
-
-    def complement(self) -> SubsetMask:
-        return SubsetMask(self.frame, self.bits ^ ((1 << self.frame.size) - 1))
 
     def subsets(self) -> Iterator[SubsetMask]:
         """All subsets of this mask, in ascending bits-as-integer order."""

@@ -391,10 +391,6 @@ class MassFunction:
         numerator = self._belief_numerator(against) if table is None else table[against]
         return Fraction(self._denominator - numerator, self._denominator)
 
-    def is_bayesian(self) -> bool:
-        """True iff every focal element is a singleton."""
-        return all(bits.bit_count() == 1 for bits in self._numerators)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented

@@ -1,16 +1,15 @@
-"""Structured command reports, rendered as plain text or machine JSON.
+"""Command reports, rendered as plain text or machine JSON.
 
-A :class:`Report` is a kind tag plus an insertion-ordered payload of
-JSON-compatible values: subsets as canonical brace strings, rationals as
-exact ``p/q`` strings, simulation frequencies as floats already rounded to
-six decimal places.  Rendering is deterministic; the machine form reparses
-to exactly the in-memory payload.
+A report is a kind tag plus an insertion-ordered payload of JSON-compatible
+values: subsets as canonical brace strings, rationals as exact ``p/q``
+strings, simulation frequencies as floats already rounded to six decimal
+places.  Rendering is deterministic; the machine form reparses to exactly
+the kind and the payload.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping
 
 _TABLE_PREFIX = {
@@ -25,12 +24,6 @@ _TABLE_PREFIX = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
-    kind: str
-    payload: dict[str, object]
-
-
 def _scalar(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -39,15 +32,15 @@ def _scalar(value: object) -> str:
     return str(value)
 
 
-def emit_report(report: Report, format: str = "text") -> str:
-    """Render a report; `format` is ``text`` or ``machine``."""
+def emit_report(kind: str, payload: Mapping[str, object], format: str = "text") -> str:
+    """Render the report `kind` with `payload`; `format` is ``text`` or ``machine``."""
     if format == "machine":
-        doc: dict[str, object] = {"kind": report.kind, **report.payload}
+        doc: dict[str, object] = {"kind": kind, **payload}
         return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines: list[str] = []
-    for key, value in report.payload.items():
+    for key, value in payload.items():
         if key == "findings":
             assert isinstance(value, list)
             if not value:

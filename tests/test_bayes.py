@@ -22,7 +22,6 @@ from beliefkit import (
     ZeroMarginal,
     bayes,
     bayes_factor,
-    likelihood,
     parse_model,
     posterior,
     posterior_odds,
@@ -66,28 +65,30 @@ def oracle_models(rng):
 
 class TestLikelihood:
     def test_spy_model(self, example1):
-        assert likelihood(example1, NO, "BANANA") == F(2, 3)
-        assert likelihood(example1, YES, "BANANA") == 0
-        assert likelihood(example1, TOP, "BANANA") == F(1, 3)
+        likelihoods = bayes._likelihoods(example1, "BANANA")
+        assert likelihoods[NO] == F(2, 3)
+        assert likelihoods[YES] == 0
+        assert likelihoods[TOP] == F(1, 3)
 
     def test_merged_codeword_model(self, example2):
-        assert likelihood(example2, NO, "BANANA") == 1
-        assert likelihood(example2, TOP, "BANANA") == F(1, 3)
+        likelihoods = bayes._likelihoods(example2, "BANANA")
+        assert likelihoods[NO] == 1
+        assert likelihoods[TOP] == F(1, 3)
 
     def test_unknown_plaintext_and_message(self, example1):
         with pytest.raises(UnknownMessage):
-            likelihood(example1, NO, "KIWI")
+            bayes._likelihoods(example1, "KIWI")
         other_domain = Frame(("yes", "no")).empty()
-        with pytest.raises(UnknownPlaintext):
-            likelihood(example1, other_domain, "BANANA")
+        assert other_domain not in bayes._likelihoods(example1, "BANANA")
 
     def test_matches_oracle_on_random_models(self):
         rng = random.Random(31337)
         for model in oracle_models(rng):
             message = rng.choice(model.messages)
             expected = oracle_likelihood(model, message)
+            likelihoods = bayes._likelihoods(model, message)
             for mask in model.plaintexts:
-                assert likelihood(model, mask, message) == expected[frozenset(mask.members)]
+                assert likelihoods[mask] == expected[frozenset(mask.members)]
 
 
 class TestPriorSpec:
@@ -244,6 +245,21 @@ class TestOdds:
         )
         with pytest.raises(UndefinedOdds):
             bayes_factor(model, "q1", x, y)
+
+    def test_plaintext_outside_the_domain_first_reported_first(self, example1):
+        empty, foreign = YN.empty(), Frame(("a", "b")).subset(["a"])
+        for first, second, named in (
+            (empty, TOP, empty),
+            (NO, empty, empty),
+            (foreign, NO, foreign),
+            (empty, foreign, empty),
+            (foreign, empty, foreign),
+        ):
+            with pytest.raises(UnknownPlaintext) as err:
+                bayes_factor(example1, "BANANA", first, second)
+            assert str(err.value) == f"{named} is not in the plaintext domain"
+            with pytest.raises(UnknownMessage):
+                bayes_factor(example1, "KIWI", first, second)
 
     def test_non_positive_prior_odds_rejected(self, example1):
         with pytest.raises(InvalidPrior):

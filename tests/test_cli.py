@@ -558,6 +558,16 @@ class TestExitCodes:
         assert status == 1
         assert "UnknownLabel" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["factors", "--pair", "{}", "T"], ["bayes", "--odds", "2", "--pair", "T", "{}"]],
+        ids=["first", "second"],
+    )
+    def test_plaintext_outside_the_domain_is_domain_error(self, capsys, example1_path, argv):
+        status, out, err = run(capsys, argv[0], example1_path, *argv[1:])
+        assert (status, out) == (1, "")
+        assert err == "error: UnknownPlaintext: {} is not in the plaintext domain\n"
+
     def test_total_conflict_surfaces(self, capsys, tmp_path):
         doc = {
             "frame": ["a"],

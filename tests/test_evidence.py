@@ -18,10 +18,10 @@ from beliefkit import (
     ProbabilitySumError,
     TotalConflict,
     UnknownMessage,
+    bayes,
     bayes_factor,
     bundled_model_path,
     combine_models,
-    likelihood,
     load_model,
     posterior,
     williams_check,
@@ -124,18 +124,18 @@ class TestConstrainingRelation:
 class TestPossibleCodes:
     def test_banana_keeps_all_codes(self, example1):
         relation = example1.constraining_relation("BANANA")
-        assert relation.possible_codes() == ("s1", "s2")
+        assert tuple(relation.decoded) == ("s1", "s2")
 
     def test_cherry_keeps_all_codes(self, example1):
         relation = example1.constraining_relation("CHERRY")
-        assert relation.possible_codes() == ("s1", "s2")
+        assert tuple(relation.decoded) == ("s1", "s2")
 
     def test_empty_relation(self):
         frame = Frame(("a", "b"))
         a = frame.subset(["a"])
         model = EvidenceModel(frame, ("q0", "q1"), (a,), (Code("s", F(1), {a: "q0"}),))
         relation = model.constraining_relation("q1")
-        assert relation.possible_codes() == ()
+        assert tuple(relation.decoded) == ()
         assert relation.pairs == ()
         assert relation.weights == {}
 
@@ -159,7 +159,7 @@ class TestCompatibilitySets:
         models = [load_model(bundled_model_path("example2")) for _ in range(3)]
         by_sets, by_mass, unread = (model.constraining_relation("BANANA") for model in models)
         before = repr(unread)
-        for name in by_sets.possible_codes():
+        for name in by_sets.decoded:
             by_sets.compatibility_set(name)
         models[1].derive_mass("BANANA")
         assert "_compatibility" not in vars(unread)
@@ -168,7 +168,7 @@ class TestCompatibilitySets:
             assert read == unread and hash(read) == hash(unread)
             assert repr(read) == repr(unread) == before
             assert read.pairs == unread.pairs
-            assert read.possible_codes() == unread.possible_codes()
+            assert tuple(read.decoded) == tuple(unread.decoded)
 
     def test_hand_built_record_with_an_empty_entry(self):
         # s0 pairs with no plaintext: its own lookup raises IndexError, and
@@ -243,7 +243,7 @@ class TestDeriveMass:
             message = producible_message(rng, model)
             relation = model.constraining_relation(message)
             compat = {
-                relation.compatibility_set(name) for name in relation.possible_codes()
+                relation.compatibility_set(name) for name in relation.decoded
             }
             focal = {mask for mask, _ in model.derive_mass(message).focal()}
             assert focal == compat
@@ -253,7 +253,7 @@ class TestDeriveMass:
         for _ in range(60):
             model = random_model(rng, random_frame(rng, 3))
             message = producible_message(rng, model)
-            possible = set(model.constraining_relation(message).possible_codes())
+            possible = set(model.constraining_relation(message).decoded)
             prob = {code.name: code.prob for code in model.codes}
             total = sum(prob[name] for name in possible)
             conditional = [prob[name] / total for name in possible]
@@ -323,7 +323,7 @@ class TestModelValidation:
         for ask in (
             lambda message: example1.constraining_relation(message),
             lambda message: example1.derive_mass(message),
-            lambda message: likelihood(example1, NO, message),
+            lambda message: bayes._likelihoods(example1, message)[NO],
             lambda message: posterior(example1, uniform, message),
             lambda message: bayes_factor(example1, message, NO, TOP),
             lambda message: williams_check(example1, message),

@@ -164,18 +164,6 @@ class TestBeliefAndPlausibility:
             assert (m._belief_table is None) is (size > MAX_INVERSION_FRAME)
 
 
-class TestIsBayesian:
-    def test_spy_mass_is_not(self):
-        assert not spy_mass().is_bayesian()
-
-    def test_singleton_mass_is(self):
-        m = MassFunction(YN, [(YES, F(1, 2)), (NO, F(1, 2))])
-        assert m.is_bayesian()
-
-    def test_vacuous_is_not_on_larger_frames(self):
-        assert not MassFunction.vacuous(YN).is_bayesian()
-
-
 class TestBeliefInversion:
     def test_spy_belief_table_inverts_to_spy_mass(self):
         bel = {

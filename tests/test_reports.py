@@ -2,22 +2,17 @@ import json
 
 import pytest
 
-from beliefkit import Report, emit_report
+from beliefkit import emit_report
 
-
-def sample():
-    return Report(
-        "derive",
-        {
-            "frame": "{yes,no}",
-            "message": "BANANA",
-            "mass": {"{no}": "2/3", "{yes,no}": "1/3"},
-        },
-    )
+SAMPLE = {
+    "frame": "{yes,no}",
+    "message": "BANANA",
+    "mass": {"{no}": "2/3", "{yes,no}": "1/3"},
+}
 
 
 def test_text_lines():
-    assert emit_report(sample(), "text") == (
+    assert emit_report("derive", SAMPLE, "text") == (
         "frame = {yes,no}\n"
         "message = BANANA\n"
         "m({no}) = 2/3\n"
@@ -26,28 +21,25 @@ def test_text_lines():
 
 
 def test_machine_reparses_to_payload_exactly():
-    report = Report(
-        "simulate",
-        {"seed": 7, "accepted": 33, "frequency": {"{no}": 0.667427}},
-    )
-    doc = json.loads(emit_report(report, "machine"))
-    assert doc == {"kind": "simulate", **report.payload}
+    payload = {"seed": 7, "accepted": 33, "frequency": {"{no}": 0.667427}}
+    doc = json.loads(emit_report("simulate", payload, "machine"))
+    assert doc == {"kind": "simulate", **payload}
 
 
 def test_boolean_rendering():
-    report = Report("williams", {"one_to_one": True, "equivalent": False})
-    assert emit_report(report, "text") == "one_to_one = true\nequivalent = false\n"
+    payload = {"one_to_one": True, "equivalent": False}
+    assert emit_report("williams", payload, "text") == "one_to_one = true\nequivalent = false\n"
 
 
 def test_float_rendering_uses_six_places():
-    report = Report("simulate", {"frequency": {"{no}": 0.5}})
-    assert emit_report(report, "text") == "freq({no}) = 0.500000\n"
+    payload = {"frequency": {"{no}": 0.5}}
+    assert emit_report("simulate", payload, "text") == "freq({no}) = 0.500000\n"
 
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit_report(sample(), "yaml")
+        emit_report("derive", SAMPLE, "yaml")
 
 
 def test_default_format_is_text():
-    assert emit_report(sample()).startswith("frame = ")
+    assert emit_report("derive", SAMPLE).startswith("frame = ")
