@@ -47,6 +47,8 @@ SIMULATION_ALGORITHM = "mt19937"
 # Trials drawn per pass of simulate(); bounds the draws held in memory at once.
 _SIMULATION_CHUNK = 4096
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -94,7 +96,7 @@ class PriorSpec:
         return cls({first: odds / (odds + 1), second: Fraction(1) / (odds + 1)})
 
     def weight_of(self, mask: SubsetMask) -> Fraction:
-        return self.weights.get(mask, Fraction(0))
+        return self.weights.get(mask, _ZERO)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,11 @@ class EvidenceModel:
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_relations", {})  # message index -> its relation
 
+    @cached_property
+    def _domain(self) -> frozenset[SubsetMask]:
+        """The plaintexts as a set, for codebooks not keyed in domain order."""
+        return frozenset(self.plaintexts)
+
     def _row_of(self, code: Code, index: dict[str, int]) -> tuple[int, ...]:
         """The code's row of the table; raises its codebook's first fault."""
         codebook = code.codebook
@@ -178,7 +183,7 @@ class EvidenceModel:
         if tuple(codebook) == self.plaintexts:
             labels = codebook.values()
         else:
-            keys, domain = set(codebook), set(self.plaintexts)
+            keys, domain = set(codebook), self._domain
             if keys != domain:
                 missing = sorted(str(m) for m in domain - keys)
                 extra = sorted(str(m) for m in keys - domain)

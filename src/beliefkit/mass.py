@@ -25,7 +25,8 @@ sum, all non-negative, and each pass is one masked shift-and-add over the
 whole integer; past 64 bits a slice transform runs.  Summing up the lattice
 gives the table of Bel numerators: on frames of at most MAX_INVERSION_FRAME
 labels a mass builds it on its first Bel or Pl query and answers every query
-from it; larger frames scan the focal elements instead.  Every partial sum
+from it, building each distinct value's Fraction once per mass, on its first
+read; larger frames scan the focal elements instead.  Every partial sum
 of that build adds up some of the mass's non-negative numerators, so the
 mass's denominator bounds it.  Subtracting down the lattice inverts a
 belief table in :meth:`from_belief`, in fields sized by its denominator,
@@ -198,7 +199,7 @@ class MassFunction:
     ``SubsetMask``/``Fraction`` pairs from it.
     """
 
-    __slots__ = ("_frame", "_denominator", "_numerators", "_belief_table")
+    __slots__ = ("_frame", "_denominator", "_numerators", "_belief_table", "_fractions")
 
     def __init__(self, frame: Frame, entries: Iterable[tuple[SubsetMask, object]]):
         keys, nums, dens = [], [], []
@@ -254,7 +255,7 @@ class MassFunction:
         self._frame = frame
         self._denominator = denominator // common
         self._numerators = numerators
-        self._belief_table = None
+        self._belief_table = self._fractions = None
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
@@ -351,10 +352,11 @@ class MassFunction:
     def _belief_numerator(self, bits: int) -> int:
         """Numerator of Bel(`bits`): the focal elements inside `bits`.
 
-        Called while there is no Bel table: builds it and reads it; frames
-        past MAX_INVERSION_FRAME scan the focal elements instead.  `bits`
-        may be ``~B`` for the complement of B: as a mask it keeps the focal
-        elements that miss B, and as an index it reads cell ``full ^ B``.
+        Called while there is no Bel table: builds it, with an empty map from
+        a Bel or Pl numerator to its Fraction, and reads it; frames past
+        MAX_INVERSION_FRAME scan the focal elements instead.  `bits` may be
+        ``~B`` for the complement of B: as a mask it keeps the focal elements
+        that miss B, and as an index it reads cell ``full ^ B``.
         """
         size = self._frame.size
         if size > MAX_INVERSION_FRAME:
@@ -366,30 +368,42 @@ class MassFunction:
         # Each partial sum adds up some of the non-negative numerators,
         # which total the denominator.
         self._belief_table = _lattice_transform(table, size, False, self._denominator)
+        self._fractions = {}
         return self._belief_table[bits]
 
     def belief(self, mask: SubsetMask) -> Fraction:
         """Total mass of focal elements contained in `mask`.
 
-        Read from the Bel table, built on the first query, or by a scan of
-        the focal elements on frames past MAX_INVERSION_FRAME.
+        Read from the Bel table, built on the first query; later queries
+        build each distinct value's Fraction once per mass, on its first read.
+        Frames past MAX_INVERSION_FRAME scan the focal elements instead.
         """
         if mask.frame is not self._frame and mask.frame != self._frame:
             raise FrameMismatch(f"{mask} does not belong to the frame")
-        table, bits = self._belief_table, mask.bits
-        numerator = self._belief_numerator(bits) if table is None else table[bits]
-        return Fraction(numerator, self._denominator)
+        fractions, bits = self._fractions, mask.bits
+        if fractions is None:  # no table yet, or a frame past MAX_INVERSION_FRAME
+            return Fraction(self._belief_numerator(bits), self._denominator)
+        numerator = self._belief_table[bits]
+        value = fractions.get(numerator)
+        if value is None:
+            value = fractions[numerator] = Fraction(numerator, self._denominator)
+        return value
 
     def plausibility(self, mask: SubsetMask) -> Fraction:
         """Mass not committed against `mask`: 1 - Bel(complement).
 
-        Read the same way as :meth:`belief`.
+        Read the same way as :meth:`belief`, from the same map of Fractions.
         """
         if mask.frame is not self._frame and mask.frame != self._frame:
             raise FrameMismatch(f"{mask} does not belong to the frame")
-        table, against = self._belief_table, ~mask.bits  # Bel of the complement
-        numerator = self._belief_numerator(against) if table is None else table[against]
-        return Fraction(self._denominator - numerator, self._denominator)
+        fractions, against = self._fractions, ~mask.bits  # Bel of the complement
+        if fractions is None:
+            return Fraction(self._denominator - self._belief_numerator(against), self._denominator)
+        numerator = self._denominator - self._belief_table[against]
+        value = fractions.get(numerator)
+        if value is None:
+            value = fractions[numerator] = Fraction(numerator, self._denominator)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):

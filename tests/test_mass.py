@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -35,6 +37,7 @@ from helpers import (
     oracle_mobius,
     powerset,
     prime_fractions,
+    random_mask,
     random_mass,
     wide_frame,
     wide_mass,
@@ -284,8 +287,26 @@ class TestLatticeTransform:
         )
         bel_sets = oracle_tables(m)
         table = {m.frame.subset(subset): value for subset, value in bel_sets.items()}
-        assert {mask: m.belief(mask) for mask in table} == table
+        labels = frozenset(m.frame.labels)
+        plaus = {m.frame.subset(s): 1 - bel_sets[labels - s] for s in bel_sets}
+        masks = list(table)
+        # Bel and Pl of every subset, interleaved in a random order, on a
+        # fresh mass and then on a warm one; the first query, Pl on odd sizes
+        # and Bel on even, builds the table and the map of Fractions
+        assert m._belief_table is None and m._fractions is None
+        for _ in ("fresh", "warm"):
+            rng.shuffle(masks)
+            values = []
+            for k, mask in enumerate(masks):
+                reads = ((m.belief, table), (m.plausibility, plaus))
+                for query, expected in reads[:: -1 if (k + size) % 2 else 1]:
+                    values.append(query(mask))
+                    assert values[-1] == expected[mask]
         assert m._belief_table is not None
+        # the map holds one entry per distinct Bel or Pl value, and the warm
+        # sweep reads each as one Fraction
+        assert len(m._fractions) == len(set(values)) <= 1 << (size + 1)
+        assert len(set(map(id, values))) == len(set(values))
         inverted = MassFunction.from_belief(m.frame, table)
         if size <= 10:
             assert as_set_dict(inverted) == oracle_mobius(m.frame.labels, bel_sets)
@@ -317,7 +338,24 @@ class TestLatticeTransform:
             mask = m.frame.subset(subset)
             assert m.belief(mask) == oracle_belief(by_set, subset)
             assert m.plausibility(mask) == 1 - oracle_belief(by_set, frozenset(labels) - subset)
-        assert m._belief_table is None
+        assert m._belief_table is None and m._fractions is None
+
+    @pytest.mark.parametrize("size", (3, MAX_INVERSION_FRAME, MAX_INVERSION_FRAME + 1))
+    def test_queries_keep_equality_hash_and_copies(self, size):
+        def fresh():
+            rng = random.Random(2730 + size)
+            return wide_mass(rng, size) if size > 8 else random_mass(rng, wide_frame(size), 6)
+
+        m, untouched = fresh(), fresh()
+        before = hash(m)
+        rng = random.Random(size)
+        masks = [random_mask(rng, m.frame, nonempty=False) for _ in range(64)]
+        answers = [(m.belief(mask), m.plausibility(mask)) for mask in masks]
+        assert m == untouched and untouched == m
+        assert hash(m) == before == hash(untouched)
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m and hash(twin) == hash(m)
+            assert [(twin.belief(mask), twin.plausibility(mask)) for mask in masks] == answers
 
 
 def extreme_tables(size, magnitude):
