@@ -121,27 +121,19 @@ def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationRe
     """Dempster's rule through the product of the two commonality tables.
 
     The commonality Q(A) of a mass sums it over the supersets of A, and
-    the unnormalised combination has Q1 * Q2 as its commonality.  Cell
-    ``full ^ A`` of a table holds A, so the supersets of A sit below that
-    cell: the zeta transform of each reversed mass is its reversed Q, and
-    the Möbius inverse of their cell-by-cell product is the reversed
-    unnormalised combination, over ``d1 * d2``, with the conflict in cell
-    ``full`` (Kennes & Smets, UAI 1990).
+    the unnormalised combination has Q1 * Q2 as its commonality.  Each mass
+    builds its own Q table, reversed, with Q(A) in cell ``full ^ A``, where
+    the supersets of A sit below that cell.  The Möbius inverse of the two
+    tables' cell-by-cell product is the reversed unnormalised combination,
+    over ``d1 * d2``, with the conflict in cell ``full`` (Kennes & Smets,
+    UAI 1990).
     """
     size = m1.frame.size
     cells = 1 << size
-    full = cells - 1
-    # The kernel's unsigned fields need every cell and partial sum
-    # non-negative and within the bound.  Every partial sum forward adds up
-    # some of a mass's non-negative numerators, so its denominator bounds it.
-    # Part-way through, the inverse holds a partial zeta transform of the
-    # non-negative unnormalised combination, whose cells total d1 * d2.
-    tables = []
-    for mass in (m1, m2):
-        table = [0] * cells
-        for bits, n in mass._numerators.items():
-            table[full ^ bits] = n
-        tables.append(_lattice_transform(table, size, False, mass._denominator))
+    tables = [mass._summed_table(cells - 1) for mass in (m1, m2)]
+    # The inverse's unsigned fields need every partial sum non-negative and
+    # within the bound: part-way through it holds a partial zeta transform
+    # of the unnormalised combination, whose non-negative cells total d1 * d2.
     bound = m1._denominator * m2._denominator
     product = _lattice_transform(list(map(mul, *tables)), size, True, bound)
     # The last cell holds the conflict; reversed, the rest hold A at index A - 1.

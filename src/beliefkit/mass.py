@@ -22,17 +22,17 @@ over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
 transformation", UAI 1990).  The table is packed into one integer of
 unsigned fields wide enough for the caller's bound on every cell and partial
 sum, all non-negative, and each pass is one masked shift-and-add over the
-whole integer; past 64 bits a slice transform runs.  Summing up the lattice
-gives the table of Bel numerators: on frames of at most MAX_INVERSION_FRAME
-labels a mass builds it on its first Bel or Pl query and answers every query
-from it, building each distinct value's Fraction once per mass, on its first
-read; larger frames scan the focal elements instead.  Every partial sum
-of that build adds up some of the mass's non-negative numerators, so the
-mass's denominator bounds it.  Subtracting down the lattice inverts a
+whole integer; past 64 bits a slice transform runs.  A mass sums its
+numerators up the lattice into both of its dense tables, in fields its
+denominator bounds: the Bel numerators, and over the reversed table, which
+turns the subsets of a cell into its supersets, the commonality numerators.
+On frames of at most MAX_INVERSION_FRAME labels a mass builds its Bel table
+on its first Bel or Pl query and answers every query from it, building each
+distinct value's Fraction once per mass, on its first read; larger frames
+scan the focal elements instead.  Subtracting down the lattice inverts a
 belief table in :meth:`from_belief`, in fields sized by its denominator,
-confirmed by the forward passes.  :mod:`beliefkit.combine` runs the same
-transform for Dempster's rule on dense pairs: both ways over
-reversed tables, which turns the subsets of a cell into its supersets.
+confirmed by the forward passes, and the product of two commonality tables
+in :mod:`beliefkit.combine`, for Dempster's rule on dense pairs.
 """
 
 from __future__ import annotations
@@ -362,14 +362,22 @@ class MassFunction:
         if size > MAX_INVERSION_FRAME:
             outside = ~bits
             return sum([n for focal, n in self._numerators.items() if not focal & outside])
-        table = [0] * (1 << size)
-        for focal, n in self._numerators.items():
-            table[focal] = n
-        # Each partial sum adds up some of the non-negative numerators,
-        # which total the denominator.
-        self._belief_table = _lattice_transform(table, size, False, self._denominator)
+        self._belief_table = self._summed_table(0)
         self._fractions = {}
         return self._belief_table[bits]
+
+    def _summed_table(self, flip: int) -> list[int]:
+        """Each focal element A's numerator at cell ``flip ^ A`` of a 2^size
+        table, summed up the lattice: for `flip` 0 cell B holds Bel(B), and
+        for the full frame's bits cell ``full ^ B`` holds the commonality
+        Q(B), the mass on the supersets of B, both as numerators.  Every
+        partial sum adds up non-negative numerators that total the
+        denominator, so the denominator bounds the transform's fields."""
+        size = self._frame.size
+        table = [0] * (1 << size)
+        for bits, n in self._numerators.items():
+            table[flip ^ bits] = n
+        return _lattice_transform(table, size, False, self._denominator)
 
     def belief(self, mask: SubsetMask) -> Fraction:
         """Total mass of focal elements contained in `mask`.

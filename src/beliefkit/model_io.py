@@ -130,7 +130,7 @@ def parse_model(text: str) -> EvidenceModel:
     doc = _decode_object(text, _MODEL_FIELDS, ("frame", "messages", "plaintexts", "codes"))
     frame = _parse_frame(doc["frame"])
 
-    messages = tuple(_string_list(doc["messages"], "messages"))
+    messages = _string_list(doc["messages"], "messages")
 
     if not isinstance(doc["plaintexts"], list):
         raise _fail("plaintexts", "expected a list of subsets")
@@ -144,8 +144,6 @@ def parse_model(text: str) -> EvidenceModel:
             plaintexts.append(frame.subset(names))
         except UnknownLabel as err:
             raise UnknownLabel(f"{field}: {err}") from None
-
-    plaintexts = tuple(plaintexts)
 
     if not isinstance(doc["codes"], list):
         raise _fail("codes", "expected a list of code records")
@@ -196,7 +194,7 @@ def parse_model(text: str) -> EvidenceModel:
         raise _fail("observed", "expected a message label string")
 
     try:
-        return EvidenceModel(frame, messages, plaintexts, tuple(codes), observed)
+        return EvidenceModel(frame, messages, plaintexts, codes, observed)
     except ValueError as err:
         raise ModelSyntaxError(str(err)) from None
 

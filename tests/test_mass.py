@@ -290,6 +290,15 @@ class TestLatticeTransform:
         labels = frozenset(m.frame.labels)
         plaus = {m.frame.subset(s): 1 - bel_sets[labels - s] for s in bel_sets}
         masks = list(table)
+        # the mass's two summed tables, as numerators: Bel(A) in cell A, and
+        # with every bit flipped the mass on A's supersets in cell full ^ A
+        full, by_set, d = (1 << size) - 1, as_set_dict(m), m._denominator
+        bel_numerators, commonality = m._summed_table(0), m._summed_table(full)
+        for mask, bel in table.items():
+            assert bel_numerators[mask.bits] == bel * d
+            members = frozenset(mask.members)
+            supersets = sum(v for s, v in by_set.items() if s >= members)
+            assert commonality[full ^ mask.bits] == supersets * d
         # Bel and Pl of every subset, interleaved in a random order, on a
         # fresh mass and then on a warm one; the first query, Pl on odd sizes
         # and Bel on even, builds the table and the map of Fractions
