@@ -226,11 +226,15 @@ def simulate(
     Each trial draws a plaintext from the prior and a code from the model
     independently, keeps the trial when the code encodes the plaintext to
     `message`, and tabulates plaintext frequencies among kept trials.  The
-    trial stream is fully determined by `seed` (Mersenne Twister).
+    trial stream is fully determined by `seed` (Mersenne Twister), which
+    must be non-negative: the generator seeds an int with its absolute value,
+    so a negative seed would repeat another seed's stream.
     """
     sent = model._message_index(message)
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_prior_domain(model, prior)
     domain = model.plaintexts
     plaintext_pool = [p for p, mask in enumerate(domain) if prior.weight_of(mask) > 0]

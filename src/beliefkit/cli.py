@@ -60,14 +60,22 @@ def _subset_arg(text: str) -> str:
     )
 
 
-def _count_arg(text: str) -> int:
+def _integer_arg(text: str, least: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {what}, got {value}")
     return value
+
+
+def _count_arg(text: str) -> int:
+    return _integer_arg(text, 1, "positive count")
+
+
+def _seed_arg(text: str) -> int:
+    return _integer_arg(text, 0, "non-negative seed")
 
 
 @functools.cache
@@ -165,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_observed(simulate)
     simulate.add_argument("--samples", type=_count_arg, required=True, help="number of trials")
-    simulate.add_argument("--seed", type=int, required=True, help="deterministic seed")
+    simulate.add_argument("--seed", type=_seed_arg, required=True, help="deterministic seed")
     add_prior(simulate)
 
     validate = command("validate", _cmd_validate, "report warnings about a model document")

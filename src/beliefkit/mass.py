@@ -9,9 +9,11 @@ mass to the empty set.
 Internally a mass function is held as ``int`` bitmasks and integer numerators
 over one common denominator, so Bel/Pl queries, belief-table inversion and
 Dempster's rule (:mod:`beliefkit.combine`) run on integers alone.  Values come
-in through one intake: each is read once as an integer ratio into a column of
-numerators and a column of denominators, and scaled to the lcm of the
-distinct denominators.  A mass keeps a dict of positive numerators that is
+in through one intake into a column of numerators and a column of
+denominators: a value of class exactly Fraction is read from its two slots,
+``_numerator`` and ``_denominator``, with no method call, and any other value
+as ``exact(value).as_integer_ratio()``.  The columns are scaled to the lcm of
+the distinct denominators.  A mass keeps a dict of positive numerators that is
 already in ascending bitmask order over the least common denominator as it
 is handed over; only other dicts are sorted and reduced.
 :class:`SubsetMask` and :class:`Fraction` values are built only where they
@@ -206,11 +208,15 @@ class MassFunction:
         for mask, value in entries:
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"focal set {mask} does not belong to the frame")
-            value = value if value.__class__ is Fraction else exact(value)
-            if value < 0:
-                raise NegativeMass(f"mass of {mask} is negative: {_diagnostic_text(value)}")
-            if value:
-                n, d = value.as_integer_ratio()
+            if value.__class__ is Fraction:
+                n, d = value._numerator, value._denominator
+            else:
+                n, d = exact(value).as_integer_ratio()
+            if n < 0:
+                raise NegativeMass(
+                    f"mass of {mask} is negative: {_diagnostic_text(Fraction(n, d))}"
+                )
+            if n:
                 keys.append(mask.bits)
                 nums.append(n)
                 dens.append(d)
@@ -286,12 +292,14 @@ class MassFunction:
             )
         cells = 1 << size
         nums, dens = [0] * cells, [1] * cells
-        ratio = Fraction.as_integer_ratio
         for mask, value in belief.items():
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
             bits = mask.bits
-            nums[bits], dens[bits] = ratio(value if value.__class__ is Fraction else exact(value))
+            if value.__class__ is Fraction:
+                nums[bits], dens[bits] = value._numerator, value._denominator
+            else:
+                nums[bits], dens[bits] = exact(value).as_integer_ratio()
         if len(belief) != cells:
             raise NotABeliefFunction(
                 f"belief table must cover all {cells} subsets, got {len(belief)}"

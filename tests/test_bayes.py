@@ -408,3 +408,10 @@ class TestSimulate:
     def test_bad_sample_count(self, example1):
         with pytest.raises(ValueError):
             simulate(example1, PriorSpec.uniform(example1.plaintexts), "BANANA", 0, SEED)
+
+    def test_negative_seed(self, example1):
+        # random.Random(-5) would repeat the stream of seed 5.
+        prior = PriorSpec.uniform(example1.plaintexts)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+            simulate(example1, prior, "BANANA", 10, -5)
+        assert simulate(example1, prior, "BANANA", 10, 0).seed == 0

@@ -110,6 +110,7 @@ ARGPARSE_ERRORS = {
     "missing-required": ["simulate", "M", "--samples", "10"],
     "zero-samples": ["simulate", "M", "--samples", "0", "--seed", "1"],
     "non-integer-seed": ["simulate", "M", "--samples", "10", "--seed", "x"],
+    "negative-seed": ["simulate", "M", "--samples", "10", "--seed", "-5"],
     "bad-rational": ["bayes", "M", "--odds", "x", "--pair", "{no}", "T"],
     "bad-subset": ["factors", "M", "--pair", "no", "T"],
     "bad-choice": ["derive", "M", "--format", "xml"],
@@ -273,6 +274,13 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_seed_zero_runs(self, capsys, example2_path):
+        status, out, err = run(
+            capsys, "simulate", example2_path, "--samples", "10", "--seed", "0"
+        )
+        assert status == 0 and err == ""
+        assert "\nseed = 0\n" in out
 
 
 class TestFromBelief:
@@ -526,12 +534,14 @@ class TestExitCodes:
         [
             (["simulate", "M", "--samples", "x", "--seed", "1"],
              "usage error: argument --samples: expected an integer, got 'x'"),
+            (["simulate", "M", "--samples", "10", "--seed", "-5"],
+             "usage error: argument --seed: expected a non-negative seed, got -5"),
             (["bayes", "M", "--odds", "2", "--pair", "{no}", "T", "--prior", "uniform"],
              "usage error: --odds and prior options are mutually exclusive"),
             (["bayes", "M", "--odds", "2", "--pair", "{no}", "T", "--prior-file", "x.json"],
              "usage error: --odds and prior options are mutually exclusive"),
         ],
-        ids=["non-integer-samples", "odds-with-prior", "odds-with-prior-file"],
+        ids=["non-integer-samples", "negative-seed", "odds-with-prior", "odds-with-prior-file"],
     )
     def test_usage_error_lines(self, capsys, example1_path, argv, line):
         argv = [example1_path if token == "M" else token for token in argv]

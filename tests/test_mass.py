@@ -608,7 +608,9 @@ def abc_table(values):
 
 class TestIntake:
     """The constructor and from_belief put values over one denominator through
-    one intake; these pin what it accepts, its diagnostics and their order."""
+    one intake, which reads an exact Fraction from its two slots and any other
+    value through exact(); these pin what it accepts, its diagnostics and
+    their order."""
 
     @pytest.mark.parametrize(
         "convert",
@@ -620,6 +622,14 @@ class TestIntake:
         entries = [(NO, convert(F(2, 3))), (TOP, convert(F(1, 3))), (YES, convert(F(0)))]
         assert MassFunction(YN, entries) == spy_mass()
         assert MassFunction(YN, [(TOP, convert(F(1)))]) == MassFunction.vacuous(YN)
+        for value, text in ((F(-1, 3), "-1/3"), (F(-2), "-2")):
+            with pytest.raises(NegativeMass, match=f"^mass of \\{{no\\}} is negative: {text}$"):
+                MassFunction(YN, [(NO, convert(value)), (TOP, F(1))])
+
+    def test_fraction_layout(self):
+        assert Fraction.__slots__ == ("_numerator", "_denominator"), (
+            "MassFunction's intake reads an exact Fraction's _numerator and _denominator"
+        )
 
     def test_float_rejected(self):
         bel = spy_belief()
