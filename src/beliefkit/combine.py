@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from operator import mul
 from typing import Iterable
 
 from .errors import FrameMismatch, TotalConflict
 from .frames import Frame
-from .mass import MAX_INVERSION_FRAME, MassFunction, _lattice_transform
+from .mass import MAX_INVERSION_FRAME, MassFunction, _cell_indices, _lattice_transform
 from .evidence import EvidenceModel
 
 
@@ -139,7 +139,8 @@ def _combine_by_commonality(m1: MassFunction, m2: MassFunction) -> CombinationRe
     # The last cell holds the conflict; reversed, the rest hold A at index A - 1.
     conflict = product.pop()
     product.reverse()
-    pooled = dict(zip(compress(range(1, cells), product), filter(None, product)))
+    nonempty = islice(_cell_indices(size), 1, None)
+    pooled = dict(zip(compress(nonempty, product), filter(None, product)))
     return _renormalized(m1.frame, pooled, conflict, bound, "every focal intersection is empty")
 
 

@@ -13,9 +13,10 @@ in through one intake into a column of numerators and a column of
 denominators: a value of class exactly Fraction is read from its two slots,
 ``_numerator`` and ``_denominator``, with no method call, and any other value
 as ``exact(value).as_integer_ratio()``.  The columns are scaled to the lcm of
-the distinct denominators.  A mass keeps a dict of positive numerators that is
-already in ascending bitmask order over the least common denominator as it
-is handed over; only other dicts are sorted and reduced.
+the denominators, which :meth:`from_belief` takes as it reads.  A mass keeps
+a dict of positive numerators that is already in ascending bitmask order
+over the least common denominator as it is handed over; only other dicts
+are sorted and reduced.
 :class:`SubsetMask` and :class:`Fraction` values are built only where they
 leave the API.
 
@@ -24,10 +25,12 @@ over 2^size cells (Kennes & Smets, "Computational aspects of the Möbius
 transformation", UAI 1990).  The table is packed into one integer of
 unsigned fields wide enough for the caller's bound on every cell and partial
 sum, all non-negative, and each pass is one masked shift-and-add over the
-whole integer; past 64 bits a slice transform runs.  A mass sums its
-numerators up the lattice into both of its dense tables, in fields its
-denominator bounds: the Bel numerators, and over the reversed table, which
-turns the subsets of a cell into its supersets, the commonality numerators.
+whole integer; past 64 bits a slice transform runs.  The passes' masks and
+the cell indices the read-backs use are kept per size, built on first use.
+A mass sums its numerators up the lattice into both of its dense tables, in
+fields its denominator bounds: the Bel numerators, and over the reversed
+table, which turns the subsets of a cell into its supersets, the
+commonality numerators.
 On frames of at most MAX_INVERSION_FRAME labels a mass builds its Bel table
 on its first Bel or Pl query and answers every query from it, building each
 distinct value's Fraction once per mass, on its first read; larger frames
@@ -44,6 +47,7 @@ import re
 import struct
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from operator import add, sub
 from typing import Iterable, Mapping
@@ -131,17 +135,35 @@ def _field_width(bound: int) -> int:
     return 8 << ((bound.bit_length() - 1) >> 3).bit_length()
 
 
-def _passes(packed: int, size: int, width: int, inverse: bool) -> int:
-    """The lattice transform on fields of `width` bits: for bit ``i``, the
-    fields whose index has ``i`` clear, shifted onto their partners with it."""
+@cache
+def _pass_masks(size: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Each pass's ``(shift, low)`` for :func:`_passes`, top bit first, kept per
+    size and width: sizes up to MAX_INVERSION_FRAME and widths of 8 to 64 bits
+    make at most 48 entries, about 1.35 MB of ints if every one is built."""
+    masks = []
     # The low half for the top bit; each finer mask from the one above.
     low = (1 << (width << (size - 1))) - 1
     for i in reversed(range(size)):
         shift = width << i
-        step = (packed & low) << shift
-        packed = packed - step if inverse else packed + step
+        masks.append((shift, low))
         if i:
             low ^= low << (shift >> 1)
+    return tuple(masks)
+
+
+@cache
+def _cell_indices(size: int) -> tuple[int, ...]:
+    """``tuple(range(1 << size))``, kept per size: at most 13 entries up to
+    MAX_INVERSION_FRAME, about 0.25 MB if every one is built."""
+    return tuple(range(1 << size))
+
+
+def _passes(packed: int, size: int, width: int, inverse: bool) -> int:
+    """The lattice transform on fields of `width` bits: for bit ``i``, the
+    fields whose index has ``i`` clear, shifted onto their partners with it."""
+    for shift, low in _pass_masks(size, width):
+        step = (packed & low) << shift
+        packed = packed - step if inverse else packed + step
     return packed
 
 
@@ -276,8 +298,9 @@ class MassFunction:
         of the frame.  The inversion is the alternating-sign sum
         ``m(A) = sum over B below A of (-1)^|A minus B| * Bel(B)``, computed
         by the inverse lattice transform on the table's numerators over one
-        denominator D: size packed-integer passes in unsigned fields sized
-        by D, confirmed by the forward passes.  Any other table, and any D
+        denominator D, the lcm of the values' denominators, taken as they are
+        read: size packed-integer passes in unsigned fields sized by D,
+        confirmed by the forward passes.  Any other table, and any D
         past 64 bits, goes through the exact slice transform, which finds
         its first negative mass.  Raises ValueError for a
         frame larger than MAX_INVERSION_FRAME, and NotABeliefFunction when
@@ -292,14 +315,18 @@ class MassFunction:
             )
         cells = 1 << size
         nums, dens = [0] * cells, [1] * cells
+        denominator = 1  # the lcm of the denominators read so far
         for mask, value in belief.items():
             if mask.frame is not frame and mask.frame != frame:
                 raise FrameMismatch(f"belief table key {mask} does not belong to the frame")
             bits = mask.bits
             if value.__class__ is Fraction:
-                nums[bits], dens[bits] = value._numerator, value._denominator
+                nums[bits], d = value._numerator, value._denominator
             else:
-                nums[bits], dens[bits] = exact(value).as_integer_ratio()
+                nums[bits], d = exact(value).as_integer_ratio()
+            dens[bits] = d
+            if denominator % d:
+                denominator = math.lcm(denominator, d)
         if len(belief) != cells:
             raise NotABeliefFunction(
                 f"belief table must cover all {cells} subsets, got {len(belief)}"
@@ -309,7 +336,7 @@ class MassFunction:
                 f"Bel of the full frame is {_diagnostic_text(Fraction(nums[-1], dens[-1]))}, "
                 "expected 1"
             )
-        denominator, table = _over_one_denominator(nums, dens)
+        table = [n * (denominator // d) for n, d in zip(nums, dens)]
         if table[0]:  # m(empty) = Bel(empty)
             raise NotABeliefFunction(
                 f"inversion puts mass {_diagnostic_text(Fraction(table[0], denominator))} "
@@ -332,7 +359,7 @@ class MassFunction:
             _passes(inverted, size, width, False) != packed
         ):
             masses = _slice_transform(table, size, True)
-        focal = dict(zip(compress(range(cells), masses), filter(None, masses)))
+        focal = dict(zip(compress(_cell_indices(size), masses), filter(None, masses)))
         if min(focal.values()) < 0:
             bits = next(bits for bits, n in focal.items() if n < 0)
             mass = _diagnostic_text(Fraction(focal[bits], denominator))

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import sys
@@ -24,12 +25,15 @@ from beliefkit import (
 from beliefkit import mass
 from beliefkit.mass import (
     MAX_INVERSION_FRAME,
+    _cell_indices,
     _field_width,
     _lattice_transform,
+    _pass_masks,
     _slice_transform,
 )
 
 from helpers import (
+    _LARGE_PRIMES,
     as_set_dict,
     fractions_over,
     mixed_fractions,
@@ -452,6 +456,30 @@ class TestPackedTransform:
                 expected = [masses.get(subset, 0) for subset in sets]
                 assert _slice_transform(dense, size, True) == expected
 
+    def test_cached_masks_and_cell_indices_match_a_fresh_build(self):
+        # The oracle builds each size and width's masks afresh, by the same
+        # loop.  Each size asks for all four widths, starting at a different
+        # one each time, so masks kept by size alone would differ.
+        def fresh_masks(size, width):
+            masks = []
+            low = (1 << (width << (size - 1))) - 1
+            for i in reversed(range(size)):
+                shift = width << i
+                masks.append((shift, low))
+                if i:
+                    low ^= low << (shift >> 1)
+            return masks
+
+        widths = [8, 16, 32, 64]
+        for size in range(1, MAX_INVERSION_FRAME + 1):
+            for width in widths[size % 4 :] + widths[: size % 4]:
+                assert list(_pass_masks(size, width)) == fresh_masks(size, width)
+                assert _pass_masks(size, width) is _pass_masks(size, width)
+            assert _cell_indices(size) == tuple(range(1 << size))
+        # every size and width the kernels take is kept now, and nothing else
+        assert _pass_masks.cache_info().currsize == 48
+        assert _cell_indices.cache_info().currsize <= MAX_INVERSION_FRAME + 1
+
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_each_side_of_the_width_boundaries(self, width):
         # A bound of `width` bits packs fields of `width` bits, and one bit
@@ -606,6 +634,36 @@ def abc_table(values):
     return {SubsetMask(ABC, bits): value for bits, value in values.items()}
 
 
+def largest_prime_power(n):
+    """The largest prime power that divides `n`, an lcm of denominators from
+    mixed_fractions, prime_fractions or 17^2."""
+    best = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, *_LARGE_PRIMES):
+        q = 1
+        while n % (q * p) == 0:
+            q *= p
+        n, best = n // q, max(best, q)
+    assert n == 1
+    return best
+
+
+def key_orders(table, seed):
+    """The entries of `table` in ascending, descending and shuffled key order,
+    then with the entries whose denominators carry the largest prime power
+    of the table's lcm first, and last."""
+    ascending = sorted(table.items(), key=lambda item: item[0].bits)
+    shuffled = ascending[:]
+    random.Random(seed).shuffle(shuffled)
+    power = largest_prime_power(math.lcm(*(value.denominator for value in table.values())))
+
+    def carries(item):
+        return item[1].denominator % power == 0
+
+    first, last = sorted(ascending, key=carries, reverse=True), sorted(ascending, key=carries)
+    assert carries(first[0]) and carries(last[-1]) and not carries(last[0])
+    return [ascending, ascending[::-1], shuffled, first, last]
+
+
 class TestIntake:
     """The constructor and from_belief put values over one denominator through
     one intake, which reads an exact Fraction from its two slots and any other
@@ -701,6 +759,48 @@ class TestIntake:
             NotABeliefFunction, match=r"^inversion yields negative mass -1/2 on \{a,b\}$"
         ):
             MassFunction.from_belief(ABC, abc_table(values))
+
+    def test_key_order_leaves_the_lcm_and_the_inversion_alone(self):
+        # from_belief takes the lcm of the denominators as it reads them, so
+        # every order of one table must give the same mass, field by field
+        m = random_mass(random.Random(3001), wide_frame(8), 64, 64, fractions=mixed_fractions)
+        table = {mask: m.belief(mask) for mask in m.frame.full().subsets()}
+        for order in key_orders(table, 3001):
+            inverted = MassFunction.from_belief(m.frame, dict(order))
+            assert inverted._denominator == m._denominator
+            assert list(inverted._numerators.items()) == list(m._numerators.items())
+
+    def test_key_order_past_64_bits(self):
+        # an lcm past 64 bits sends the table through the slice transform
+        m = random_mass(random.Random(3002), wide_frame(6), 24, 2, fractions=prime_fractions)
+        assert m._denominator > 1 << 64
+        bel_sets = oracle_tables(m)
+        table = {m.frame.subset(subset): value for subset, value in bel_sets.items()}
+        expected = oracle_mobius(m.frame.labels, bel_sets)
+        for order in key_orders(table, 3002):
+            inverted = MassFunction.from_belief(m.frame, dict(order))
+            assert as_set_dict(inverted) == expected
+            assert inverted == m
+
+    def test_key_order_keeps_the_negative_mass_diagnostic(self):
+        # Bel({h0}) raised by 1/17^2 lowers each mass on {h0} and one more
+        # label by as much; that one cell is the only one over 17^2
+        m = random_mass(random.Random(3003), wide_frame(5), 6, 6, fractions=mixed_fractions)
+        table = {mask: m.belief(mask) for mask in m.frame.full().subsets()}
+        table[m.frame.subset(["h0"])] += F(1, 17**2)
+        bel_sets = {frozenset(mask.members): value for mask, value in table.items()}
+        negative = {
+            m.frame.subset(subset): value
+            for subset, value in oracle_mobius(m.frame.labels, bel_sets).items()
+            if value < 0
+        }
+        lowest = min(negative, key=lambda mask: mask.bits)
+        text = f"inversion yields negative mass {format_rational(negative[lowest])} on {lowest}"
+        assert text == "inversion yields negative mass -1/289 on {h0,h1}"
+        for order in key_orders(table, 3003):
+            with pytest.raises(NotABeliefFunction) as caught:
+                MassFunction.from_belief(m.frame, dict(order))
+            assert str(caught.value) == text
 
     def test_frame_12_round_trip_agrees_field_by_field(self):
         m = random_mass(

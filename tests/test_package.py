@@ -2,8 +2,11 @@
 modules' imports."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -97,3 +100,15 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_importing_the_cli_builds_no_lattice_masks_or_cell_indices():
+    # the kernels' caches fill on first use, so importing costs nothing for them
+    check = (
+        "import beliefkit.cli\n"
+        "from beliefkit.mass import _cell_indices, _pass_masks\n"
+        "print(_pass_masks.cache_info().currsize, _cell_indices.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(beliefkit.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
