@@ -9,7 +9,10 @@ the message's constraining relation, which the model builds on the first
 request for that message and keeps: the plaintexts each possible code
 decodes to and its integer weight over a common denominator.  The belief
 route divides the weights by their sum, this one sums them per plaintext
-over the denominator.  Everything here is exact rational arithmetic except
+over the denominator.  :func:`posterior`, :func:`bayes_factor` and
+:func:`williams_check` work on those integer numerators, with the prior's
+weights put over one denominator of their own, and build a Fraction only for
+each value they report.  Everything here is exact rational arithmetic except
 :func:`simulate`, which is the Monte Carlo cross-check of the generative
 story.  It draws the seeded stream in fixed-size chunks and makes
 whole-chunk passes over each: every draw is placed among precomputed cuts
@@ -40,7 +43,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .frames import SubsetMask
-from .mass import MassFunction, _diagnostic_text, exact
+from .mass import MassFunction, _diagnostic_text, _over_one_denominator, exact
 from .evidence import EvidenceModel
 
 SIMULATION_ALGORITHM = "mt19937"
@@ -71,21 +74,23 @@ class PriorSpec:
         for mask, value in weights.items():
             if len(mask) == 0:
                 raise InvalidPrior("the empty set cannot carry prior weight")
-            if value < 0:
+            if value.numerator < 0:
                 raise InvalidPrior(
                     f"prior weight of {mask} is negative: {_diagnostic_text(value)}"
                 )
-        total = sum(weights.values(), Fraction(0))
-        if total != 1:
-            raise InvalidPrior(
-                f"prior weights sum to {_diagnostic_text(total)}, expected 1"
-            )
+        values = weights.values()
+        denominator, numerators = _over_one_denominator(
+            [v.numerator for v in values], [v.denominator for v in values]
+        )
+        if sum(numerators) != denominator:
+            total = Fraction(sum(numerators), denominator)
+            raise InvalidPrior(f"prior weights sum to {_diagnostic_text(total)}, expected 1")
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def uniform(cls, plaintexts: Sequence[SubsetMask]) -> PriorSpec:
-        """Equal weight on every plaintext of a domain."""
-        return cls({mask: Fraction(1, len(plaintexts)) for mask in plaintexts})
+        """Equal weight on every plaintext of a domain; an empty one is an InvalidPrior."""
+        return cls(dict.fromkeys(plaintexts, Fraction(1, len(plaintexts) or 1)))
 
     @classmethod
     def from_odds(cls, odds: Fraction, first: SubsetMask, second: SubsetMask) -> PriorSpec:
@@ -129,51 +134,65 @@ class SimulationReport:
     algorithm: str = SIMULATION_ALGORITHM
 
 
-def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
-    """Each domain plaintext, in order, -> P(`message` | it): the total prior
-    probability of the codes encoding it to `message`."""
+def _pooled_weights(model: EvidenceModel, message: str) -> tuple[Counter[int], int]:
+    """Plaintext bits -> the total weight of the codes encoding it to `message`,
+    and the denominator of those weights: P(`message` | plaintext) as integers."""
     relation = model.constraining_relation(message)
     sums: Counter[int] = Counter()
     for name, masks in relation.decoded.items():
+        weight = relation.weights[name]
         for mask in masks:
-            sums[mask.bits] += relation.weights[name]
-    return {mask: Fraction(sums[mask.bits], relation.denominator) for mask in model.plaintexts}
+            sums[mask.bits] += weight
+    return sums, relation.denominator
+
+
+def _likelihoods(model: EvidenceModel, message: str) -> dict[SubsetMask, Fraction]:
+    """Each domain plaintext, in order, -> P(`message` | it)."""
+    sums, denominator = _pooled_weights(model, message)
+    return {mask: Fraction(sums[mask.bits], denominator) for mask in model.plaintexts}
 
 
 def _check_prior_domain(model: EvidenceModel, prior: PriorSpec) -> None:
     for mask in prior.weights:
-        if mask not in model.plaintexts:
+        if mask not in model._domain:
             raise UnknownPlaintext(f"prior covers {mask}, not in the plaintext domain")
 
 
 def posterior(model: EvidenceModel, prior: PriorSpec, message: str) -> PosteriorReport:
     """Exact posterior over the plaintext domain given the observed message."""
-    likelihoods = _likelihoods(model, message)
+    sums, denominator = _pooled_weights(model, message)
     _check_prior_domain(model, prior)
-    joint = {mask: prior.weight_of(mask) * likelihoods[mask] for mask in model.plaintexts}
-    normalizer = sum(joint.values(), Fraction(0))
-    if normalizer == 0:
-        raise ZeroMarginal(
-            f"message {message!r} has probability 0 under the prior"
-        )
-    posterior_map = {mask: value / normalizer for mask, value in joint.items()}
-    return PosteriorReport(posterior_map, likelihoods, normalizer)
+    domain = model.plaintexts
+    weights = [prior.weight_of(mask) for mask in domain]
+    prior_denominator, prior_numerators = _over_one_denominator(
+        [w.numerator for w in weights], [w.denominator for w in weights]
+    )
+    likelihoods = [sums[mask.bits] for mask in domain]
+    joint = list(map(mul, prior_numerators, likelihoods))
+    total = sum(joint)
+    if total == 0:
+        raise ZeroMarginal(f"message {message!r} has probability 0 under the prior")
+    return PosteriorReport(
+        {mask: Fraction(j, total) for mask, j in zip(domain, joint)},
+        {mask: Fraction(n, denominator) for mask, n in zip(domain, likelihoods)},
+        Fraction(total, prior_denominator * denominator),
+    )
 
 
 def bayes_factor(
     model: EvidenceModel, message: str, first: SubsetMask, second: SubsetMask
 ) -> Fraction:
     """Likelihood ratio of `first` to `second`; multiplies prior into posterior odds."""
-    likelihoods = _likelihoods(model, message)
+    sums = _pooled_weights(model, message)[0]
     for plaintext in (first, second):
-        if plaintext not in likelihoods:
+        if plaintext not in model._domain:
             raise UnknownPlaintext(f"{plaintext} is not in the plaintext domain")
-    top, bottom = likelihoods[first], likelihoods[second]
+    top, bottom = sums[first.bits], sums[second.bits]  # over one denominator
     if bottom == 0:
         if top == 0:
             raise UndefinedOdds(f"both {first} and {second} have zero likelihood")
         raise InfiniteOdds(f"{second} has zero likelihood, {first} does not")
-    return top / bottom
+    return Fraction(top, bottom)
 
 
 def posterior_odds(
@@ -209,7 +228,7 @@ def williams_check(model: EvidenceModel, message: str) -> WilliamsReport:
     mass = model.derive_mass(message)
     one_to_one = all(len(plaintexts) == 1 for plaintexts in relation.decoded.values())
     report = posterior(model, PriorSpec.uniform(model.plaintexts), message)
-    as_mass = {mask: p for mask, p in report.posterior.items() if p > 0}
+    as_mass = {mask: p for mask, p in report.posterior.items() if p}  # none is negative
     equivalent = as_mass == dict(mass.focal())
     return WilliamsReport(one_to_one, equivalent, mass, report.posterior)
 

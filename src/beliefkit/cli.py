@@ -7,7 +7,8 @@ status 2, or ``error: <Kind>: ...`` with exit status 1 for model and domain
 errors (``error: [Errno ...] ...`` for a file that cannot be opened).  Output
 is deterministic for identical argv and files (simulation requires an explicit
 ``--seed``).  One parser serves every ``run_command`` call in a process: it is
-built on first use and keeps no per-call state.
+built on first use and keeps no per-call state.  A command's own subparser
+parses an argv that starts with its name; the full parser reads any other.
 """
 
 from __future__ import annotations
@@ -178,7 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = command("validate", _cmd_validate, "report warnings about a model document")
     validate.add_argument("model", help="model document path")
+    parser._commands = sub.choices  # command name -> its subparser
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser gives `argv`, skipping its pass over a
+    leading command name."""
+    parser = build_parser()
+    subparser = parser._commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _resolve_message(model: EvidenceModel, flag: str | None, option: str) -> str:
@@ -208,10 +222,12 @@ def _mass_tables(mass: MassFunction) -> dict[str, dict[str, str]]:
     else:
         row_bits = sorted({mask.bits for mask, _ in focal} | {frame.full().bits})
     rows = [SubsetMask(frame, bits) for bits in row_bits]
+    texts = [str(m) for m in rows]  # every focal element is a row
+    text_of = dict(zip(row_bits, texts))
     return {
-        "mass": {str(m): format_rational(v) for m, v in focal},
-        "belief": {str(m): format_rational(mass.belief(m)) for m in rows},
-        "plausibility": {str(m): format_rational(mass.plausibility(m)) for m in rows},
+        "mass": {text_of[m.bits]: format_rational(v) for m, v in focal},
+        "belief": {t: format_rational(mass.belief(m)) for m, t in zip(rows, texts)},
+        "plausibility": {t: format_rational(mass.plausibility(m)) for m, t in zip(rows, texts)},
     }
 
 
@@ -261,26 +277,26 @@ def _cmd_bayes(args: argparse.Namespace) -> dict:
         if args.prior is not None or args.prior_file is not None:
             raise _UsageError("--odds and prior options are mutually exclusive")
         first, second = _pair(model.frame, args.pair)
+        prior_odds = bayes_ops._positive_odds(args.odds)  # checked first, as posterior_odds does
         factor = bayes_ops.bayes_factor(model, message, first, second)
-        odds = bayes_ops._positive_odds(args.odds) * factor
         return {
             **header,
             "pair": [str(first), str(second)],
             "prior_odds": format_rational(args.odds),
             "factor": format_rational(factor),
-            "posterior_odds": format_rational(odds),
+            "posterior_odds": format_rational(prior_odds * factor),
         }
     if args.pair is not None:
         raise _UsageError("--pair requires --odds A")
     prior = _resolve_prior(model, args)
     report = bayes_ops.posterior(model, prior, message)
-    plaintexts = model.plaintexts
+    plaintexts = list(zip(model.plaintexts, map(str, model.plaintexts)))
     return {
         **header,
-        "prior": {str(m): format_rational(prior.weight_of(m)) for m in plaintexts},
-        "likelihood": {str(m): format_rational(report.likelihoods[m]) for m in plaintexts},
+        "prior": {t: format_rational(prior.weight_of(m)) for m, t in plaintexts},
+        "likelihood": {t: format_rational(report.likelihoods[m]) for m, t in plaintexts},
         "normalizer": format_rational(report.normalizer),
-        "posterior": {str(m): format_rational(report.posterior[m]) for m in plaintexts},
+        "posterior": {t: format_rational(report.posterior[m]) for m, t in plaintexts},
     }
 
 
@@ -300,7 +316,7 @@ def _cmd_williams(args: argparse.Namespace) -> dict:
         "equivalent": result.equivalent,
         "mass": {str(m): format_rational(v) for m, v in result.mass.focal()},
         "uniform_posterior": {
-            str(m): format_rational(result.uniform_posterior[m]) for m in model.plaintexts
+            str(m): format_rational(v) for m, v in result.uniform_posterior.items()
         },
     }
 
@@ -336,7 +352,7 @@ def run_command(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the process exit status."""
     try:
         try:
-            args = build_parser().parse_args(list(argv))
+            args = _parse_args(list(argv))
         except SystemExit:  # --help, the only way argparse still exits
             return 0
         payload = args.run(args)

@@ -163,7 +163,9 @@ class SubsetMask:
             sub = (sub - self.bits) & self.bits
 
     def __str__(self) -> str:
-        return "{" + ",".join(self.members) + "}"
+        bits = self.bits
+        names = [name for i, name in enumerate(self.frame.labels) if bits >> i & 1]
+        return "{" + ",".join(names) + "}"
 
     def __repr__(self) -> str:
         return f"SubsetMask({self})"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -42,10 +43,17 @@ def read_document(path: str | Path) -> str:
     """Text of a UTF-8 document file; undecodable bytes are a ModelSyntaxError.
 
     A path the system cannot name, such as one holding a NUL character, is
-    an OSError like any other file that cannot be opened.
+    an OSError like any other file that cannot be opened.  Read in text mode,
+    every line break is ``\n``.  An int or bytes path is a TypeError.
     """
+    name = os.fspath(path)  # not an int, which open() would take for a descriptor
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            file = open(name if isinstance(name, str) else Path(name), encoding="utf-8")
+        except OSError:  # then as Path spells the name ("a//b/" is "a/b"), as it always was
+            file = Path(name).open(encoding="utf-8")
+        with file:
+            return file.read()
     except UnicodeDecodeError as err:
         raise ModelSyntaxError(f"not UTF-8 text: {err}") from None
     except ValueError as err:

@@ -97,6 +97,22 @@ def oracle_likelihood(model: EvidenceModel, message):
     return table
 
 
+def oracle_posterior(model: EvidenceModel, prior_by_set, message):
+    """Posterior by Bayes' rule over plain data structures.
+
+    `prior_by_set` maps frozensets to prior weights; a plaintext it leaves
+    out has prior 0.  Each prior weight times :func:`oracle_likelihood`,
+    divided by their sum.  Returns ``(posterior, likelihoods, normalizer)``,
+    the tables keyed by frozenset, or None when that sum is 0.
+    """
+    likelihoods = oracle_likelihood(model, message)
+    joint = {s: Fraction(prior_by_set.get(s, 0)) * v for s, v in likelihoods.items()}
+    normalizer = sum(joint.values(), Fraction(0))
+    if normalizer == 0:
+        return None
+    return {s: v / normalizer for s, v in joint.items()}, likelihoods, normalizer
+
+
 def oracle_combine(mass1_by_set, mass2_by_set):
     """Dempster's rule on frozenset-keyed mass dicts; returns (combined, conflict)."""
     pooled = {}

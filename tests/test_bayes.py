@@ -32,9 +32,12 @@ from beliefkit import (
 
 from helpers import (
     MANY_CODES,
+    as_set_dict,
     mixed_fractions,
     oracle_likelihood,
+    oracle_posterior,
     oracle_simulate,
+    prime_fractions,
     producible_message,
     random_fractions,
     random_frame,
@@ -312,6 +315,108 @@ class TestWilliams:
                 one_to_one_seen += 1
                 assert report.equivalent
         assert one_to_one_seen > 0
+
+
+class Weight(Fraction):
+    """A Fraction subclass, as a caller's own rational type might be."""
+
+
+def weight_forms(rng, plaintexts):
+    """Priors over `plaintexts` with weights as text, as a Fraction subclass,
+    and as ints (all on one plaintext), on three kinds of denominators."""
+    count = len(plaintexts)
+    for values in (
+        list(random_prior(rng, plaintexts).weights.values()),
+        mixed_fractions(rng, count),
+        prime_fractions(rng, count) if count > 1 else [Fraction(1)],
+    ):
+        yield {m: f"{v.numerator}/{v.denominator}" for m, v in zip(plaintexts, values)}
+        yield {m: Weight(v) for m, v in zip(plaintexts, values)}
+    point = rng.randrange(count)
+    yield {m: int(k == point) for k, m in enumerate(plaintexts)}
+
+
+def by_set(table):
+    return {frozenset(mask.members): value for mask, value in table.items()}
+
+
+class TestIntegerRoute:
+    """posterior, bayes_factor and williams_check work on integer numerators
+    over one denominator; the oracles multiply and divide Fractions."""
+
+    def test_posterior_matches_the_oracle(self):
+        rng = random.Random(3131)
+        checked = zero = 0
+        for model in oracle_models(rng):
+            message = rng.choice(model.messages)
+            for weights in weight_forms(rng, model.plaintexts):
+                prior = PriorSpec(weights)
+                expected = oracle_posterior(model, by_set(weights), message)
+                if expected is None:
+                    zero += 1
+                    with pytest.raises(ZeroMarginal):
+                        posterior(model, prior, message)
+                    continue
+                report = posterior(model, prior, message)
+                assert (by_set(report.posterior), by_set(report.likelihoods)) == expected[:2]
+                assert report.normalizer == expected[2]
+                assert list(report.posterior) == list(model.plaintexts)
+                assert list(report.likelihoods) == list(model.plaintexts)
+                checked += 1
+        assert checked > 500 and zero > 0
+
+    def test_bayes_factor_matches_the_oracle(self):
+        rng = random.Random(3132)
+        for model in oracle_models(rng):
+            message = rng.choice(model.messages)
+            table = oracle_likelihood(model, message)
+            for _ in range(4):
+                first, second = rng.choice(model.plaintexts), rng.choice(model.plaintexts)
+                top, bottom = table[frozenset(first.members)], table[frozenset(second.members)]
+                if bottom == 0:
+                    error = UndefinedOdds if top == 0 else InfiniteOdds
+                    with pytest.raises(error):
+                        bayes_factor(model, message, first, second)
+                else:
+                    assert bayes_factor(model, message, first, second) == top / bottom
+
+    def test_williams_check_matches_the_oracle(self):
+        rng = random.Random(3133)
+        for model in oracle_models(rng):
+            message = producible_message(rng, model)
+            uniform = {frozenset(m.members): Fraction(1, len(model.plaintexts))
+                       for m in model.plaintexts}
+            expected, _, _ = oracle_posterior(model, uniform, message)
+            report = williams_check(model, message)
+            assert by_set(report.uniform_posterior) == expected
+            positive = {s: v for s, v in expected.items() if v > 0}
+            assert report.equivalent == (positive == as_set_dict(report.mass))
+            emitting = [
+                sum(label == message for label in code.codebook.values())
+                for code in model.codes
+            ]
+            assert report.one_to_one == all(n <= 1 for n in emitting)
+
+    @pytest.mark.parametrize("domain", [(), []], ids=["tuple", "list"])
+    def test_uniform_over_an_empty_domain_is_invalid(self, domain):
+        with pytest.raises(InvalidPrior) as err:
+            PriorSpec.uniform(domain)
+        assert str(err.value) == "a prior needs at least one plaintext"
+
+    def test_diagnostics(self, example1):
+        with pytest.raises(ZeroMarginal) as err:
+            posterior(example1, PriorSpec({YES: 1}), "BANANA")
+        assert str(err.value) == "message 'BANANA' has probability 0 under the prior"
+        model = EvidenceModel(YN, ("q0",), (TOP,), (Code("s", F(1), {TOP: "q0"}),))
+        with pytest.raises(UnknownPlaintext) as err:
+            posterior(model, PriorSpec({NO: "1/2", TOP: "1/2"}), "q0")
+        assert str(err.value) == "prior covers {no}, not in the plaintext domain"
+        with pytest.raises(InvalidPrior) as err:
+            PriorSpec({YES: "3/2", NO: Weight(-1, 2)})
+        assert str(err.value) == "prior weight of {no} is negative: -1/2"
+        with pytest.raises(InvalidPrior) as err:
+            PriorSpec({YES: "1/2", NO: 1})
+        assert str(err.value) == "prior weights sum to 3/2, expected 1"
 
 
 class TestSimulate:

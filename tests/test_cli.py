@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,21 @@ class TestExitCodes:
         assert status == 1
         assert out == ""
         assert "UnknownMessage" in err
+
+    @pytest.mark.parametrize(
+        "odds,value", [(["--odds", "0"], F(0)), (["--odds=-1/2"], F(-1, 2))], ids=["0", "-1/2"]
+    )
+    def test_bad_odds_reported_as_the_library_reports_them(
+        self, capsys, example1, example1_path, odds, value
+    ):
+        # {yes} has zero likelihood, so the factor would fail too; the odds fail first
+        no, yes = example1.frame.subset(["no"]), example1.frame.subset(["yes"])
+        with pytest.raises(beliefkit.BeliefkitError) as err:
+            beliefkit.posterior_odds(example1, "BANANA", no, yes, value)
+        assert type(err.value) is beliefkit.InvalidPrior
+        status, out, line = run(capsys, "bayes", example1_path, *odds, "--pair", "{no}", "{yes}")
+        assert (status, out) == (1, "")
+        assert line == f"error: InvalidPrior: {err.value}\n"
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "derive", "no-such-file.json", "--message", "Q")
@@ -820,6 +836,60 @@ class TestOneParserPerProcess:
         status, out, err = run(capsys, *with_paths(full, example1_path, example2_path))
         assert (status, err) == (0, "")
         assert out != ""
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace `parse` gives `argv` as a dict, or its usage error's text,
+    or the exit status, stdout and stderr of its help."""
+    try:
+        return vars(parse(argv))
+    except cli._UsageError as err:
+        return f"usage error: {err}"
+    except SystemExit as exit:
+        captured = capsys.readouterr()
+        return exit.code, captured.out, captured.err
+
+
+class TestDispatch:
+    """An argv that starts with a command's name goes straight to its subparser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in GOLDENS] + list(ARGPARSE_ERRORS.values()),
+        ids=[f"golden-{i}" for i in range(len(GOLDENS))] + list(ARGPARSE_ERRORS),
+    )
+    def test_same_namespace_or_error_as_the_full_parser(
+        self, capsys, example1_path, example2_path, argv
+    ):
+        argv = with_paths(argv, example1_path, example2_path)
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli._parse_args, argv) == full
+        if argv and argv[0] in COMMANDS and isinstance(full, dict):
+            assert full["command"] == argv[0]
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_help_as_the_full_parser(self, capsys, monkeypatch, command, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = parse_outcome(capsys, cli.build_parser().parse_args, [command, "--help"])
+        assert full[0] == 0 and full[1].startswith(f"usage: beliefkit {command} ")
+        assert full[2] == ""
+        assert parse_outcome(capsys, cli._parse_args, [command, "--help"]) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["frobnicate"], ["--format", "text", "derive", "M"]],
+        ids=["no-argv", "top-level-help", "unknown-command", "option-before-command"],
+    )
+    def test_other_argv_go_through_the_full_parser(
+        self, capsys, monkeypatch, example1_path, example2_path, argv
+    ):
+        argv = with_paths(argv, example1_path, example2_path)
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        for subparser in cli.build_parser()._commands.values():
+            monkeypatch.setitem(vars(subparser), "parse_args", None)  # a call would fail
+        assert parse_outcome(capsys, cli._parse_args, argv) == full
+        assert not isinstance(full, dict)
 
 
 OPTIONS = (

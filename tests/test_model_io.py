@@ -1,6 +1,8 @@
 import json
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from beliefkit import (
     UnknownLabel,
     UnknownMessage,
     bundled_model_path,
+    load_model,
     parse_belief_table,
     parse_model,
     parse_prior_table,
@@ -25,6 +28,7 @@ from beliefkit import (
     simulate,
     validate_model,
 )
+from beliefkit.model_io import read_document
 
 from helpers import (
     as_set_dict,
@@ -558,6 +562,54 @@ class TestPriorTable:
     def test_rejects_shape(self):
         with pytest.raises(ModelSyntaxError):
             parse_prior_table('{"prior": {}}', YN)
+
+
+class TestReadDocument:
+    """read_document reads in text mode, as Path.read_text does."""
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_syntax_error_position_as_a_text_mode_read_gives_it(self, tmp_path, newline):
+        text = json.dumps(json.loads(spy_document()), indent=2)
+        text = text.replace('"observed": "BANANA"', '"observed": BANANA')
+        path = tmp_path / "model.json"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(path.read_text(encoding="utf-8"))
+        assert expected.value.lineno > 1
+        assert read_document(path) == read_document(str(path)) == text
+        with pytest.raises(ModelSyntaxError) as err:
+            load_model(str(path))
+        assert str(err.value) == (
+            f"line {expected.value.lineno}, column {expected.value.colno}: {expected.value.msg}"
+        )
+
+    def test_int_is_no_path(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"{}")
+            with pytest.raises(TypeError):
+                read_document(read_end)
+            os.close(write_end)
+            assert os.read(read_end, 8) == b"{}"  # still open, nothing read
+        finally:
+            os.close(read_end)
+
+    def test_bytes_are_no_path(self, tmp_path):
+        (tmp_path / "model.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(TypeError):
+            read_document(os.fsencode(tmp_path / "model.json"))
+
+    def test_names_read_as_path_spells_them(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("model.json").write_text("{}", encoding="utf-8")
+        for name in ("model.json/", "./model.json", ".//model.json", "model.json/."):
+            assert read_document(name) == Path(name).read_text(encoding="utf-8") == "{}"
+        for name in ("./missing.json", "missing.json/", "", "./"):
+            with pytest.raises(OSError) as expected:
+                Path(name).read_text(encoding="utf-8")
+            with pytest.raises(OSError) as err:
+                read_document(name)
+            assert (type(err.value), str(err.value)) == (type(expected.value), str(expected.value))
 
 
 def test_bundled_model_path_unknown_name():
